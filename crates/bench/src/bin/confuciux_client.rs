@@ -236,6 +236,8 @@ fn connect_with_retry(
     loop {
         match TcpStream::connect(addr) {
             Ok(conn) => {
+                // Requests are small frames; don't let Nagle hold them back.
+                let _ = conn.set_nodelay(true);
                 if timeout_ms > 0 {
                     let _ = conn.set_read_timeout(Some(Duration::from_millis(timeout_ms)));
                 }

@@ -155,10 +155,7 @@ pub fn critic_study(problem: &HwProblem, config: &CriticStudyConfig) -> Vec<Crit
                     let dout = Matrix::from_vec(1, 1, vec![2.0 * err / chunk.len() as f32]);
                     critic.backward(&cache, &dout);
                 }
-                let mut params = critic.params_mut();
-                tinynn::clip_global_grad_norm(&mut params, 5.0);
-                opt.step(&mut params);
-                critic.zero_grad();
+                opt.update(&mut critic.params_mut(), 5.0);
             }
             train_rmse.push(rmse(&critic, &xs[..split], &ys[..split], scale));
             test_rmse.push(rmse(&critic, &xs[split..], &ys[split..], scale));

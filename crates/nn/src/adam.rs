@@ -4,8 +4,8 @@ use crate::Param;
 
 /// The Adam optimizer (Kingma & Ba, 2015) with bias correction.
 ///
-/// One `Adam` instance owns a shared step counter; call [`Adam::step`] once
-/// per update with every parameter of the network.
+/// One `Adam` instance owns a shared step counter; call [`Adam::update`]
+/// once per update with every parameter of the network.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
     /// Learning rate.
@@ -17,6 +17,22 @@ pub struct Adam {
     /// Numerical-stability epsilon.
     pub eps: f32,
     t: u64,
+}
+
+/// Everything one element's update reads besides its own `w`, `g`, `m`,
+/// `v`: the step's bias corrections and the optional clip factor.
+#[derive(Debug)]
+struct StepConsts {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    one_minus_beta1: f32,
+    one_minus_beta2: f32,
+    bc1: f32,
+    bc2: f32,
+    eps: f32,
+    /// `max_norm / total` when the global norm clips, else `None`.
+    clip: Option<f32>,
 }
 
 impl Adam {
@@ -36,33 +52,98 @@ impl Adam {
         self.t
     }
 
-    /// Applies one Adam update to every parameter, consuming the
-    /// accumulated gradients (gradients are *not* cleared — call
-    /// `zero_grad` on the layers before the next accumulation).
-    pub fn step(&mut self, params: &mut [&mut Param]) {
+    /// One Adam update of every parameter from its accumulated gradient,
+    /// after clipping the global gradient norm to `max_grad_norm`; the
+    /// gradients are left at `+0.0`, ready for the next accumulation.
+    ///
+    /// Two passes: the global norm (each parameter's sum of squares in
+    /// element order, then their sum in parameter order), then one fused
+    /// scale → Adam → zero pass per parameter. Every element sees the
+    /// same IEEE operations in the same order as a clip pass, an Adam pass
+    /// and a zeroing pass would apply. The fused pass runs in SIMD lanes
+    /// (AVX when the CPU has it, picked at runtime like the GEMMs); `/` and
+    /// `sqrt` are correctly rounded, so the lane width never changes a bit.
+    pub fn update(&mut self, params: &mut [&mut Param], max_grad_norm: f32) {
+        self.update_with(params, max_grad_norm, adam_param);
+    }
+
+    fn update_with(
+        &mut self,
+        params: &mut [&mut Param],
+        max_grad_norm: f32,
+        body: impl Fn(&mut Param, &StepConsts),
+    ) {
+        let total: f32 = params.iter().map(|p| p.grad_norm_sq()).sum::<f32>().sqrt();
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let consts = StepConsts {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            one_minus_beta1: 1.0 - self.beta1,
+            one_minus_beta2: 1.0 - self.beta2,
+            bc1: 1.0 - self.beta1.powi(self.t as i32),
+            bc2: 1.0 - self.beta2.powi(self.t as i32),
+            eps: self.eps,
+            clip: (total > max_grad_norm && total > 0.0).then(|| max_grad_norm / total),
+        };
         for p in params.iter_mut() {
-            let n = p.w.data().len();
-            for i in 0..n {
-                let g = p.g.data()[i];
-                let m = self.beta1 * p.m.data()[i] + (1.0 - self.beta1) * g;
-                let v = self.beta2 * p.v.data()[i] + (1.0 - self.beta2) * g * g;
-                p.m.data_mut()[i] = m;
-                p.v.data_mut()[i] = v;
-                let m_hat = m / bc1;
-                let v_hat = v / bc2;
-                p.w.data_mut()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
+            body(p, &consts);
         }
+    }
+}
+
+/// The fused per-parameter pass, on the widest lanes this CPU has.
+fn adam_param(p: &mut Param, k: &StepConsts) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::matrix::avx_available() {
+        // SAFETY: AVX support was verified at runtime above.
+        return unsafe { adam_param_avx(p, k) };
+    }
+    adam_param_impl(p, k)
+}
+
+/// [`adam_param_impl`] compiled for AVX lanes.
+///
+/// # Safety
+///
+/// The CPU must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn adam_param_avx(p: &mut Param, k: &StepConsts) {
+    adam_param_impl(p, k)
+}
+
+#[inline(always)]
+fn adam_param_impl(p: &mut Param, k: &StepConsts) {
+    let Param { w, g, m, v } = p;
+    let elems = w
+        .data_mut()
+        .iter_mut()
+        .zip(g.data_mut())
+        .zip(m.data_mut())
+        .zip(v.data_mut());
+    for (((w, g), m), v) in elems {
+        let grad = match k.clip {
+            Some(factor) => *g * factor,
+            None => *g,
+        };
+        let m_new = k.beta1 * *m + k.one_minus_beta1 * grad;
+        let v_new = k.beta2 * *v + k.one_minus_beta2 * grad * grad;
+        *m = m_new;
+        *v = v_new;
+        let m_hat = m_new / k.bc1;
+        let v_hat = v_new / k.bc2;
+        *w -= k.lr * m_hat / (v_hat.sqrt() + k.eps);
+        *g = 0.0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matrix;
+    use crate::{Matrix, Rng, SeedableRng};
+    use proptest::prelude::*;
+    use rand::Rng as _;
 
     /// Adam on a 1-D quadratic must converge to the minimum.
     #[test]
@@ -72,8 +153,7 @@ mod tests {
         for _ in 0..500 {
             let x = p.w.get(0, 0);
             p.g.set(0, 0, 2.0 * (x - 3.0)); // d/dx (x-3)^2
-            opt.step(&mut [&mut p]);
-            p.zero_grad();
+            opt.update(&mut [&mut p], f32::INFINITY);
         }
         assert!((p.w.get(0, 0) - 3.0).abs() < 1e-2);
     }
@@ -84,8 +164,9 @@ mod tests {
         let mut p = Param::new(Matrix::from_vec(1, 1, vec![0.0]));
         let mut opt = Adam::new(0.01);
         p.g.set(0, 0, 123.0);
-        opt.step(&mut [&mut p]);
+        opt.update(&mut [&mut p], f32::INFINITY);
         assert!((p.w.get(0, 0).abs() - 0.01).abs() < 1e-4);
+        assert_eq!(p.g.get(0, 0).to_bits(), 0, "update consumes the gradient");
     }
 
     #[test]
@@ -93,7 +174,7 @@ mod tests {
         let mut p = Param::new(Matrix::from_vec(1, 1, vec![1.0]));
         let mut opt = Adam::new(0.1);
         // No gradient at all: moments stay zero, update is exactly zero.
-        opt.step(&mut [&mut p]);
+        opt.update(&mut [&mut p], 1.0);
         assert_eq!(p.w.get(0, 0), 1.0);
     }
 
@@ -102,8 +183,144 @@ mod tests {
         let mut p = Param::new(Matrix::zeros(1, 1));
         let mut opt = Adam::new(0.1);
         assert_eq!(opt.steps(), 0);
-        opt.step(&mut [&mut p]);
-        opt.step(&mut [&mut p]);
+        opt.update(&mut [&mut p], 1.0);
+        opt.update(&mut [&mut p], 1.0);
         assert_eq!(opt.steps(), 2);
+    }
+
+    /// The three passes [`Adam::update`] fuses, kept as its bit-identity
+    /// oracle: clip the global norm, take an Adam step, zero the gradients.
+    fn three_call_update(opt: &mut Adam, params: &mut [&mut Param], max_norm: f32) {
+        let total: f32 = params
+            .iter()
+            .map(|p| p.g.data().iter().map(|v| v * v).sum::<f32>())
+            .sum::<f32>()
+            .sqrt();
+        if total > max_norm && total > 0.0 {
+            let factor = max_norm / total;
+            for p in params.iter_mut() {
+                for v in p.g.data_mut() {
+                    *v *= factor;
+                }
+            }
+        }
+        opt.t += 1;
+        let bc1 = 1.0 - opt.beta1.powi(opt.t as i32);
+        let bc2 = 1.0 - opt.beta2.powi(opt.t as i32);
+        for p in params.iter_mut() {
+            let n = p.w.data().len();
+            for i in 0..n {
+                let g = p.g.data()[i];
+                let m = opt.beta1 * p.m.data()[i] + (1.0 - opt.beta1) * g;
+                let v = opt.beta2 * p.v.data()[i] + (1.0 - opt.beta2) * g * g;
+                p.m.data_mut()[i] = m;
+                p.v.data_mut()[i] = v;
+                let m_hat = m / bc1;
+                let v_hat = v / bc2;
+                p.w.data_mut()[i] -= opt.lr * m_hat / (v_hat.sqrt() + opt.eps);
+            }
+        }
+        for p in params.iter_mut() {
+            p.zero_grad();
+        }
+    }
+
+    fn assert_params_bits_eq(body: &str, a: &[Param], b: &[Param]) {
+        for (pa, pb) in a.iter().zip(b) {
+            for (name, x, y) in [
+                ("w", &pa.w, &pb.w),
+                ("g", &pa.g, &pb.g),
+                ("m", &pa.m, &pb.m),
+                ("v", &pa.v, &pb.v),
+            ] {
+                for (k, (x, y)) in x.data().iter().zip(y.data()).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{body} {name}[{k}]: {x} vs {y}");
+                }
+            }
+        }
+    }
+
+    /// One compiled copy of the fused per-parameter pass.
+    type Body = fn(&mut Param, &StepConsts);
+
+    /// Parameters of assorted widths (SIMD blocks plus tails) with random
+    /// weights and moments, ready for one update.
+    fn random_params(rng: &mut Rng) -> Vec<Param> {
+        [
+            (1usize, 1usize),
+            (1, 7),
+            (3, 8),
+            (10, 13),
+            (16, 33),
+            (40, 20),
+        ]
+        .iter()
+        .map(|&(r, c)| {
+            let mut p = Param::new(Matrix::xavier(r, c, rng));
+            p.m = Matrix::xavier(r, c, rng).scale(0.1);
+            p.v = Matrix::xavier(r, c, rng).map(|x| x * x);
+            p
+        })
+        .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fused update equals clip → step → zero (with the norm as a
+        /// plain element-order sum) on every bit of `w`, `g`, `m` and `v`,
+        /// over several consecutive steps, with and without clipping, with
+        /// gradients that are random, `+0.0`, `-0.0` or zero runs, on the
+        /// baseline body and (where the CPU has it) the AVX body.
+        #[test]
+        fn fused_update_matches_clip_step_zero_to_the_bit(
+            seed in 0u64..1_000_000,
+            log_scale in -3.0f32..1.5,
+            max_norm in 0.5f32..10.0,
+        ) {
+            // Gradient norms span ~0.01..400, so about half the cases clip.
+            let scale = 10f32.powf(log_scale);
+            let mut rng = Rng::seed_from_u64(seed);
+            let start = random_params(&mut rng);
+            let mut bodies: Vec<(&str, Body)> = vec![("baseline", adam_param_impl)];
+            #[cfg(target_arch = "x86_64")]
+            if crate::matrix::avx_available() {
+                // SAFETY: AVX support was verified at runtime above.
+                bodies.push(("avx", |p, k| unsafe { adam_param_avx(p, k) }));
+            }
+            bodies.push(("dispatched", adam_param));
+            for (body, run) in bodies {
+                let mut fused = start.clone();
+                let mut oracle = start.clone();
+                let mut fused_opt = Adam::new(3e-3);
+                let mut oracle_opt = Adam::new(3e-3);
+                let mut grad_rng = Rng::seed_from_u64(seed ^ 0x9e37);
+                for _ in 0..3 {
+                    for (pf, po) in fused.iter_mut().zip(oracle.iter_mut()) {
+                        // Per parameter: scattered signed zeros, all +0.0,
+                        // all -0.0, or zero runs long enough to skip whole
+                        // blocks of the norm pass.
+                        let layout = grad_rng.gen_range(0..4);
+                        for (k, (gf, go)) in pf.g.data_mut().iter_mut().zip(po.g.data_mut()).enumerate() {
+                            let g = match (layout, grad_rng.gen_range(0..6)) {
+                                (1, _) => 0.0,
+                                (2, _) => -0.0,
+                                (3, _) if (k / 20) % 2 == 0 => [0.0, -0.0][k % 2],
+                                (_, 0) => 0.0,
+                                (_, 1) => -0.0,
+                                _ => grad_rng.gen_range(-1.0f32..1.0) * scale,
+                            };
+                            *gf = g;
+                            *go = g;
+                        }
+                    }
+                    let mut refs: Vec<&mut Param> = fused.iter_mut().collect();
+                    fused_opt.update_with(&mut refs, max_norm, run);
+                    let mut refs: Vec<&mut Param> = oracle.iter_mut().collect();
+                    three_call_update(&mut oracle_opt, &mut refs, max_norm);
+                    assert_params_bits_eq(body, &fused, &oracle);
+                }
+            }
+        }
     }
 }

@@ -7,9 +7,10 @@
 //! categorical/Gaussian distribution heads for discrete and continuous
 //! action spaces.
 //!
-//! There is no autograd tape: every layer's `backward` takes the cached
-//! forward inputs explicitly, which keeps backpropagation-through-time over
-//! an episode straightforward (the caller owns the per-step caches).
+//! There is no autograd tape: every layer's backward pass takes the cached
+//! forward inputs explicitly. The caller owns the per-step caches and hands
+//! a whole recorded episode to [`LstmCell::backward_sequence`] for
+//! backpropagation through time.
 //!
 //! ```
 //! use tinynn::{Linear, Matrix, Rng, SeedableRng};
@@ -74,30 +75,27 @@ impl Param {
         self.g.fill(0.0);
     }
 
-    /// Squared L2 norm of the accumulated gradient (for clipping).
+    /// Squared L2 norm of the accumulated gradient (for clipping): the
+    /// squares added one by one in element order, from `+0.0`.
+    ///
+    /// Blocks of gradient that are exactly `±0.0` are skipped whole. Their
+    /// squares are `+0.0`, and adding `+0.0` to a sum that started at
+    /// `+0.0` leaves it unchanged, so the skip returns the same bits as
+    /// the plain element-order sum. Such blocks are common: after a
+    /// one-step episode the recurrent weights' gradient is all zero, since
+    /// the state they multiply is the zero initial state.
     pub fn grad_norm_sq(&self) -> f32 {
-        self.g.data().iter().map(|v| v * v).sum()
-    }
-
-    /// Scales the gradient in place (used for global-norm clipping).
-    pub fn scale_grad(&mut self, factor: f32) {
-        for v in self.g.data_mut() {
-            *v *= factor;
+        let mut sum = 0.0f32;
+        for block in self.g.data().chunks(16) {
+            // Shifting out the sign bit leaves 0 exactly for ±0.0.
+            if block.iter().fold(0, |any, v| any | (v.to_bits() << 1)) != 0 {
+                for v in block {
+                    sum += v * v;
+                }
+            }
         }
+        sum
     }
-}
-
-/// Clips the global gradient norm of a set of parameters to `max_norm`,
-/// returning the pre-clip norm.
-pub fn clip_global_grad_norm(params: &mut [&mut Param], max_norm: f32) -> f32 {
-    let total: f32 = params.iter().map(|p| p.grad_norm_sq()).sum::<f32>().sqrt();
-    if total > max_norm && total > 0.0 {
-        let factor = max_norm / total;
-        for p in params.iter_mut() {
-            p.scale_grad(factor);
-        }
-    }
-    total
 }
 
 #[cfg(test)]
@@ -112,21 +110,32 @@ mod tests {
         assert_eq!(p.g.data(), &[0.0, 0.0]);
     }
 
+    /// After one update from zero moments, `m = (1−β₁)·g` for the gradient
+    /// Adam actually consumed, so `m / (1−β₁)` recovers the clipped one.
+    fn consumed_grad(p: &Param, opt: &Adam) -> Vec<f32> {
+        p.m.data().iter().map(|m| m / (1.0 - opt.beta1)).collect()
+    }
+
     #[test]
     fn global_clip_rescales() {
         let mut p = Param::new(Matrix::zeros(1, 2));
         p.g = Matrix::from_vec(1, 2, vec![3.0, 4.0]); // norm 5
-        let norm = clip_global_grad_norm(&mut [&mut p], 1.0);
-        assert!((norm - 5.0).abs() < 1e-6);
-        let clipped: f32 = p.grad_norm_sq().sqrt();
-        assert!((clipped - 1.0).abs() < 1e-5);
+        let mut opt = Adam::new(0.1);
+        opt.update(&mut [&mut p], 1.0);
+        let g = consumed_grad(&p, &opt);
+        assert!(
+            (g[0] - 0.6).abs() < 1e-5 && (g[1] - 0.8).abs() < 1e-5,
+            "{g:?}"
+        );
     }
 
     #[test]
     fn global_clip_leaves_small_grads_alone() {
         let mut p = Param::new(Matrix::zeros(1, 2));
         p.g = Matrix::from_vec(1, 2, vec![0.3, 0.4]);
-        clip_global_grad_norm(&mut [&mut p], 1.0);
-        assert_eq!(p.g.data(), &[0.3, 0.4]);
+        let mut opt = Adam::new(0.1);
+        opt.update(&mut [&mut p], 1.0);
+        let beta = 1.0 - opt.beta1;
+        assert_eq!(p.m.data(), &[beta * 0.3, beta * 0.4]);
     }
 }

@@ -1,3 +1,4 @@
+use crate::matrix::{gemm_tn, matvec_nt};
 use crate::{MatRef, Matrix, Param, Rng};
 
 fn sigmoid(v: f32) -> f32 {
@@ -25,8 +26,8 @@ impl LstmState {
 
 /// Everything the backward pass needs from one forward step *except* the
 /// input `x`, which the caller already owns (episode buffers store the
-/// observation anyway) and passes back to [`LstmCell::backward`] — keeping a
-/// second copy here would double the rollout's per-step storage.
+/// observation anyway) and passes back to [`LstmCell::backward_sequence`] —
+/// keeping a second copy here would double the rollout's per-step storage.
 #[derive(Debug, Clone)]
 pub struct LstmCache {
     h_prev: Matrix,
@@ -135,8 +136,8 @@ impl LstmCell {
     }
 
     /// One forward step. Returns the new state and the cache needed by
-    /// [`LstmCell::backward`]. Rows are independent: an `N`-row `x` gives
-    /// bit-identical results to `N` separate 1-row calls.
+    /// [`LstmCell::backward_sequence`]. Rows are independent: an `N`-row `x`
+    /// gives bit-identical results to `N` separate 1-row calls.
     pub fn forward(&self, x: &Matrix, state: &LstmState) -> (LstmState, LstmCache) {
         self.forward_batch(x.view(), state)
     }
@@ -211,51 +212,97 @@ impl LstmCell {
         }
     }
 
-    /// One backward step (for BPTT, call in reverse time order threading
-    /// `dh_prev`/`dc_prev` into the previous step). `x` is the same input
-    /// the forward step consumed (the cache does not store it). Accumulates
-    /// parameter gradients and returns `(dx, dh_prev, dc_prev)`.
-    pub fn backward(
-        &mut self,
-        x: &Matrix,
-        cache: &LstmCache,
-        dh: &Matrix,
-        dc: &Matrix,
-    ) -> (Matrix, Matrix, Matrix) {
-        let batch = dh.rows();
+    /// Backpropagation through time over one recorded sequence of 1-row
+    /// steps, earliest first. `steps[t]` is the input row step `t`'s forward
+    /// consumed and the cache it returned; row `t` of `dh` (`T×H`) is the
+    /// loss gradient reaching that step's output `h` from outside the
+    /// recurrence.
+    ///
+    /// The recurrence walks `t` downward and computes only what it must
+    /// per step: the step's `dgates` row, the carried `dc`, and the carried
+    /// `dh = dgates·Whᵀ`, skipped for the earliest step since nothing reads
+    /// it. No input gradient `dx` is formed. `dWx`, `dWh` and `db` are then
+    /// one stacked tn-GEMM per weight and one column sum over the `dgates`
+    /// rows in descending-t order, which is the order a per-step loop adds
+    /// them in.
+    ///
+    /// The parameter gradients must be `+0.0` on entry (as
+    /// [`LstmCell::zero_grad`] leaves them): the sums are written into them
+    /// rather than added, which is what makes the result bit-identical to
+    /// per-step accumulation into zeroed gradients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dh` is not `T×H`, a step's input is not `input_dim()`
+    /// wide, or a cache holds more than one row.
+    pub fn backward_sequence(&mut self, steps: &[(&[f32], &LstmCache)], dh: MatRef<'_>) {
+        let t_len = steps.len();
         let h = self.hidden;
-        // dL/dc' includes the path through h' = o ∘ tanh(c').
-        let dc_total = {
-            let via_h = dh
-                .hadamard(&cache.o)
-                .hadamard(&cache.tanh_c_new.map(|t| 1.0 - t * t));
-            via_h.add(dc)
-        };
-        let di = dc_total.hadamard(&cache.g);
-        let df = dc_total.hadamard(&cache.c_prev);
-        let dg = dc_total.hadamard(&cache.i);
-        let do_ = dh.hadamard(&cache.tanh_c_new);
-        // Pre-activation gate grads.
-        let mut dgates = Matrix::zeros(batch, 4 * h);
-        for r in 0..batch {
+        let input = self.input_dim();
+        assert_eq!((dh.rows(), dh.cols()), (t_len, h), "dh must be T×H");
+        let zeroed = |p: &Param| p.g.data().iter().all(|v| v.to_bits() == 0);
+        debug_assert!(
+            zeroed(&self.wx) && zeroed(&self.wh) && zeroed(&self.b),
+            "backward_sequence needs zeroed gradients"
+        );
+        // Row `s` of each stack holds step `t_len - 1 - s`.
+        let mut xs = Matrix::zeros(t_len, input);
+        let mut h_prev = Matrix::zeros(t_len, h);
+        let mut dgates = Matrix::zeros(t_len, 4 * h);
+        let mut dh_carry = vec![0.0f32; h];
+        let mut dc_carry = vec![0.0f32; h];
+        for (s, (t, &(x, cache))) in steps.iter().enumerate().rev().enumerate() {
+            assert_eq!(x.len(), input, "input width mismatch");
+            assert_eq!(cache.i.rows(), 1, "backward_sequence takes 1-row steps");
+            xs.row_mut(s).copy_from_slice(x);
+            h_prev.row_mut(s).copy_from_slice(cache.h_prev.row(0));
+            let up = &dh.data()[t * h..(t + 1) * h];
+            let (d_i, rest) = dgates.row_mut(s).split_at_mut(h);
+            let (d_f, rest) = rest.split_at_mut(h);
+            let (d_g, d_o) = rest.split_at_mut(h);
             for j in 0..h {
-                let iv = cache.i.get(r, j);
-                let fv = cache.f.get(r, j);
-                let gv = cache.g.get(r, j);
-                let ov = cache.o.get(r, j);
-                dgates.set(r, j, di.get(r, j) * iv * (1.0 - iv));
-                dgates.set(r, h + j, df.get(r, j) * fv * (1.0 - fv));
-                dgates.set(r, 2 * h + j, dg.get(r, j) * (1.0 - gv * gv));
-                dgates.set(r, 3 * h + j, do_.get(r, j) * ov * (1.0 - ov));
+                let (iv, fv, gv, ov) = (
+                    cache.i.data()[j],
+                    cache.f.data()[j],
+                    cache.g.data()[j],
+                    cache.o.data()[j],
+                );
+                let tc = cache.tanh_c_new.data()[j];
+                let dh_t = dh_carry[j] + up[j];
+                // dL/dc' includes the path through h' = o ∘ tanh(c').
+                let dc_t = dh_t * ov * (1.0 - tc * tc) + dc_carry[j];
+                d_i[j] = dc_t * gv * iv * (1.0 - iv);
+                d_f[j] = dc_t * cache.c_prev.data()[j] * fv * (1.0 - fv);
+                d_g[j] = dc_t * iv * (1.0 - gv * gv);
+                d_o[j] = dh_t * tc * ov * (1.0 - ov);
+                dc_carry[j] = dc_t * fv;
+            }
+            if t > 0 {
+                matvec_nt(dgates.row(s), self.wh.w.data(), h, &mut dh_carry);
             }
         }
-        self.wx.g.add_scaled(&x.matmul_tn(&dgates), 1.0);
-        self.wh.g.add_scaled(&cache.h_prev.matmul_tn(&dgates), 1.0);
-        self.b.g.add_scaled(&dgates.sum_rows(), 1.0);
-        let dx = dgates.matmul_nt(&self.wx.w);
-        let dh_prev = dgates.matmul_nt(&self.wh.w);
-        let dc_prev = dc_total.hadamard(&cache.f);
-        (dx, dh_prev, dc_prev)
+        gemm_tn(
+            xs.data(),
+            t_len,
+            input,
+            dgates.data(),
+            4 * h,
+            self.wx.g.data_mut(),
+        );
+        gemm_tn(
+            h_prev.data(),
+            t_len,
+            h,
+            dgates.data(),
+            4 * h,
+            self.wh.g.data_mut(),
+        );
+        let db = self.b.g.data_mut();
+        for row in dgates.data().chunks_exact(4 * h) {
+            for (acc, v) in db.iter_mut().zip(row) {
+                *acc += v;
+            }
+        }
     }
 
     /// Clears accumulated gradients.
@@ -275,6 +322,8 @@ impl LstmCell {
 mod tests {
     use super::*;
     use crate::SeedableRng;
+    use proptest::prelude::*;
+    use rand::Rng as _;
 
     fn scalar_loss(cell: &LstmCell, xs: &[Matrix]) -> f32 {
         // Sum of all hidden outputs over a short unrolled sequence.
@@ -305,15 +354,11 @@ mod tests {
             caches.push(cache);
             state = next;
         }
-        let mut dh = Matrix::from_vec(1, 4, vec![1.0; 4]);
-        let mut dc = Matrix::zeros(1, 4);
-        for (x, cache) in xs.iter().zip(&caches).rev() {
-            let (_dx, dh_prev, dc_prev) = cell.backward(x, cache, &dh, &dc);
-            // Every step's h contributes 1.0 to the loss.
-            dh = dh_prev.add(&Matrix::from_vec(1, 4, vec![1.0; 4]));
-            dc = dc_prev;
-        }
-
+        let steps: Vec<(&[f32], &LstmCache)> =
+            xs.iter().zip(&caches).map(|(x, c)| (x.row(0), c)).collect();
+        // Every step's h contributes 1.0 to the loss.
+        let ones = Matrix::from_vec(3, 4, vec![1.0; 12]);
+        cell.backward_sequence(&steps, ones.view());
         let eps = 1e-2;
         let checks = [(0usize, 0usize), (1, 5), (2, 11)];
         for &(r, c) in &checks {
@@ -378,5 +423,125 @@ mod tests {
         let (s1, _) = cell.forward(&x, &LstmState::zeros(1, 4));
         let (s2, _) = cell.forward(&x, &s1);
         assert_ne!(s1.h, s2.h);
+    }
+
+    /// The per-step backward `backward_sequence` replaced, kept as the
+    /// bit-identity oracle: one step's gradients accumulated into the
+    /// parameters, returning `(dh_prev, dc_prev)`.
+    fn per_step_backward(
+        cell: &mut LstmCell,
+        x: &Matrix,
+        cache: &LstmCache,
+        dh: &Matrix,
+        dc: &Matrix,
+    ) -> (Matrix, Matrix) {
+        let h = cell.hidden;
+        let dc_total = {
+            let via_h = dh
+                .hadamard(&cache.o)
+                .hadamard(&cache.tanh_c_new.map(|t| 1.0 - t * t));
+            via_h.add(dc)
+        };
+        let di = dc_total.hadamard(&cache.g);
+        let df = dc_total.hadamard(&cache.c_prev);
+        let dg = dc_total.hadamard(&cache.i);
+        let do_ = dh.hadamard(&cache.tanh_c_new);
+        let mut dgates = Matrix::zeros(1, 4 * h);
+        for j in 0..h {
+            let iv = cache.i.get(0, j);
+            let fv = cache.f.get(0, j);
+            let gv = cache.g.get(0, j);
+            let ov = cache.o.get(0, j);
+            dgates.set(0, j, di.get(0, j) * iv * (1.0 - iv));
+            dgates.set(0, h + j, df.get(0, j) * fv * (1.0 - fv));
+            dgates.set(0, 2 * h + j, dg.get(0, j) * (1.0 - gv * gv));
+            dgates.set(0, 3 * h + j, do_.get(0, j) * ov * (1.0 - ov));
+        }
+        cell.wx.g.add_scaled(&x.matmul_tn(&dgates), 1.0);
+        cell.wh.g.add_scaled(&cache.h_prev.matmul_tn(&dgates), 1.0);
+        cell.b.g.add_scaled(&dgates.sum_rows(), 1.0);
+        (dgates.matmul_nt(&cell.wh.w), dc_total.hadamard(&cache.f))
+    }
+
+    /// A value drawn from `lo..hi`, or (one time in six) a signed zero.
+    fn value_or_zero(rng: &mut Rng, lo: f32, hi: f32) -> f32 {
+        match rng.gen_range(0..12) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(lo..hi),
+        }
+    }
+
+    fn random_row(rng: &mut Rng, n: usize, lo: f32, hi: f32) -> Matrix {
+        Matrix::from_vec(1, n, (0..n).map(|_| value_or_zero(rng, lo, hi)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The whole-sequence BPTT equals the per-step loop it replaced
+        /// (upstream `dh` threaded as `dh_prev + dh[t]`) on every gradient
+        /// bit, for T ∈ {1, 2, 52}, random caches with planted signed
+        /// zeros, and upstream rows that are random, all `+0.0`, all
+        /// `-0.0`, or mixed.
+        #[test]
+        fn backward_sequence_matches_per_step_loop_to_the_bit(
+            seed in 0u64..1_000_000,
+            t_pick in 0usize..3,
+            h_pick in 0usize..3,
+        ) {
+            let t_len = [1usize, 2, 52][t_pick];
+            let h = [3usize, 8, 128][h_pick];
+            let input = 10;
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut fast = LstmCell::new(input, h, &mut rng);
+            let mut oracle = fast.clone();
+            let xs: Vec<Matrix> = (0..t_len).map(|_| random_row(&mut rng, input, -3.0, 3.0)).collect();
+            let caches: Vec<LstmCache> = (0..t_len)
+                .map(|_| LstmCache {
+                    h_prev: random_row(&mut rng, h, -1.0, 1.0),
+                    c_prev: random_row(&mut rng, h, -2.0, 2.0),
+                    i: random_row(&mut rng, h, 0.0, 1.0),
+                    f: random_row(&mut rng, h, 0.0, 1.0),
+                    g: random_row(&mut rng, h, -1.0, 1.0),
+                    o: random_row(&mut rng, h, 0.0, 1.0),
+                    tanh_c_new: random_row(&mut rng, h, -1.0, 1.0),
+                })
+                .collect();
+            let mut dh = Matrix::zeros(t_len, h);
+            for t in 0..t_len {
+                let row: Vec<f32> = match rng.gen_range(0..4) {
+                    0 => vec![0.0; h],
+                    1 => vec![-0.0; h],
+                    2 => (0..h).map(|j| if j % 2 == 0 { 0.0 } else { -0.0 }).collect(),
+                    _ => random_row(&mut rng, h, -1.0, 1.0).data().to_vec(),
+                };
+                dh.row_mut(t).copy_from_slice(&row);
+            }
+
+            let steps: Vec<(&[f32], &LstmCache)> =
+                xs.iter().zip(&caches).map(|(x, c)| (x.row(0), c)).collect();
+            fast.backward_sequence(&steps, dh.view());
+
+            let mut dh_carry = Matrix::zeros(1, h);
+            let mut dc_carry = Matrix::zeros(1, h);
+            for t in (0..t_len).rev() {
+                let dh_total = dh_carry.add(&Matrix::row_from_slice(dh.row(t)));
+                let (dh_prev, dc_prev) =
+                    per_step_backward(&mut oracle, &xs[t], &caches[t], &dh_total, &dc_carry);
+                dh_carry = dh_prev;
+                dc_carry = dc_prev;
+            }
+
+            for (name, a, b) in [
+                ("wx", &fast.wx.g, &oracle.wx.g),
+                ("wh", &fast.wh.g, &oracle.wh.g),
+                ("b", &fast.b.g, &oracle.b.g),
+            ] {
+                for (k, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "{}[{}]: {} vs {}", name, k, x, y);
+                }
+            }
+        }
     }
 }

@@ -22,14 +22,14 @@ const NR: usize = 8;
 // (SSE2) and once inside an `#[target_feature(enable = "avx")]` wrapper,
 // picked once at runtime. Wider lanes change neither the operations nor
 // their per-element order — every output element still accumulates its
-// `k` terms in ascending order with a separate IEEE mul and add (rustc
-// does not contract to FMA under any target feature) — so both copies
-// produce bit-identical results; the tiled-vs-naive `to_bits` proptests
-// pin this.
+// `k` terms in ascending order from `+0.0`, with a separate IEEE mul and
+// add (rustc does not contract to FMA under any target feature) — so both
+// copies produce bit-identical results; the tiled-vs-naive `to_bits`
+// proptests pin this.
 
 /// Whether this CPU supports AVX, probed once and cached.
 #[cfg(target_arch = "x86_64")]
-fn avx_available() -> bool {
+pub(crate) fn avx_available() -> bool {
     use std::sync::atomic::{AtomicU8, Ordering};
     // 0 = absent, 1 = present, 2 = not probed yet.
     static AVX: AtomicU8 = AtomicU8::new(2);
@@ -46,7 +46,7 @@ fn avx_available() -> bool {
 macro_rules! multiversioned {
     ($($entry:ident => $avx:ident / $impl_fn:ident;)+) => {
         $(
-            fn $entry(a: &[f32], ar: usize, ac: usize, b: &[f32], bc: usize, out: &mut [f32]) {
+            pub(crate) fn $entry(a: &[f32], ar: usize, ac: usize, b: &[f32], bc: usize, out: &mut [f32]) {
                 #[cfg(target_arch = "x86_64")]
                 if avx_available() {
                     // SAFETY: AVX support was verified at runtime above.
@@ -204,7 +204,9 @@ fn gemm_tn_impl(a: &[f32], ar: usize, ac: usize, b: &[f32], bc: usize, out: &mut
 
 /// `out = a · bᵀ` where `a` is `ar×ac`, `b` is `br×ac`, `out` is `ar×br`
 /// pre-zeroed. Same tiling and same ascending-k per-element accumulation
-/// contract as [`gemm_nn_impl`].
+/// contract as [`gemm_nn_impl`]. The row and column tails fold from `+0.0`
+/// like the tiles do (`Iterator::sum` would start at `-0.0`), so a row's
+/// zero signs do not depend on whether it lands in a panel or a tail.
 #[inline(always)]
 fn gemm_nt_impl(a: &[f32], ar: usize, ac: usize, b: &[f32], br: usize, out: &mut [f32]) {
     let mut i0 = 0;
@@ -233,7 +235,7 @@ fn gemm_nt_impl(a: &[f32], ar: usize, ac: usize, b: &[f32], br: usize, out: &mut
             for r in 0..MR {
                 let arow = &a[(i0 + r) * ac..(i0 + r + 1) * ac];
                 let brow = &b[j * ac..(j + 1) * ac];
-                out[(i0 + r) * br + j] = arow.iter().zip(brow).map(|(x, y)| x * y).sum();
+                out[(i0 + r) * br + j] = dot_from_zero(arow, brow);
             }
         }
         i0 += MR;
@@ -242,9 +244,95 @@ fn gemm_nt_impl(a: &[f32], ar: usize, ac: usize, b: &[f32], br: usize, out: &mut
         let arow = &a[i * ac..(i + 1) * ac];
         for j in 0..br {
             let brow = &b[j * ac..(j + 1) * ac];
-            out[i * br + j] = arow.iter().zip(brow).map(|(x, y)| x * y).sum();
+            out[i * br + j] = dot_from_zero(arow, brow);
         }
     }
+}
+
+/// `Σ a[k]·b[k]` in ascending `k`, seeded at `+0.0` like every GEMM tile.
+#[inline(always)]
+fn dot_from_zero(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).fold(0.0, |s, (x, y)| s + x * y)
+}
+
+/// `out = x · bᵀ` for one row `x` of length `ac` against `b` (`br×ac`),
+/// overwriting `out[..br]`. Each `out[j]` is the 1-row [`gemm_nt`] value
+/// to the bit: its `k` terms added in ascending order from `+0.0`.
+///
+/// With AVX, eight consecutive outputs advance in lockstep, one per lane:
+/// 8×4 blocks of `b` are transposed in registers so lane `c` receives
+/// `b[j0+c][k]` for one `k` at a time. Lanes only decide *where* a sum
+/// runs, never its order, so the two paths agree bit for bit without a
+/// transposed copy of `b`.
+pub(crate) fn matvec_nt(x: &[f32], b: &[f32], br: usize, out: &mut [f32]) {
+    assert!(
+        b.len() >= br * x.len() && out.len() >= br,
+        "matvec_nt shapes"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if avx_available() {
+        // SAFETY: AVX support was verified at runtime above.
+        return unsafe { matvec_nt_avx(x, b, br, out) };
+    }
+    gemm_nt_impl(x, 1, x.len(), b, br, out)
+}
+
+/// The AVX body of [`matvec_nt`]; every load is from a checked slice.
+///
+/// # Safety
+///
+/// The CPU must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn matvec_nt_avx(x: &[f32], b: &[f32], br: usize, out: &mut [f32]) {
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_castps128_ps256, _mm256_insertf128_ps, _mm256_loadu_ps,
+        _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps,
+        _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_loadu_ps,
+    };
+    let ac = x.len();
+    let full_k = ac / 4 * 4;
+    let mut j0 = 0;
+    while j0 + 8 <= br {
+        let rows = &b[j0 * ac..(j0 + 8) * ac];
+        let mut acc = _mm256_setzero_ps();
+        for k0 in (0..full_k).step_by(4) {
+            // `r[c]` holds b[j0+c][k0..k0+4] in its low half and
+            // b[j0+c+4][k0..k0+4] in its high half; a 4×4 transpose inside
+            // each half then leaves column k0+kk of all eight rows in
+            // `col[kk]`, lane c = row j0+c.
+            // SAFETY: `rows` is 8 rows of `ac` floats and k0 + 4 <= ac, so
+            // every 4-float load below stays inside it.
+            let r: [__m256; 4] = std::array::from_fn(|c| {
+                let lo = _mm_loadu_ps(rows.as_ptr().add(c * ac + k0));
+                let hi = _mm_loadu_ps(rows.as_ptr().add((c + 4) * ac + k0));
+                _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi)
+            });
+            let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+            let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+            let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+            let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+            let col = [
+                _mm256_shuffle_ps::<0x44>(t0, t2),
+                _mm256_shuffle_ps::<0xEE>(t0, t2),
+                _mm256_shuffle_ps::<0x44>(t1, t3),
+                _mm256_shuffle_ps::<0xEE>(t1, t3),
+            ];
+            for (&xv, c) in x[k0..k0 + 4].iter().zip(col) {
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(xv), c));
+            }
+        }
+        for (k, &xv) in x.iter().enumerate().skip(full_k) {
+            let c: [f32; 8] = std::array::from_fn(|c| rows[c * ac + k]);
+            acc = _mm256_add_ps(
+                acc,
+                _mm256_mul_ps(_mm256_set1_ps(xv), _mm256_loadu_ps(c.as_ptr())),
+            );
+        }
+        _mm256_storeu_ps(out[j0..j0 + 8].as_mut_ptr(), acc);
+        j0 += 8;
+    }
+    gemm_nt_impl(x, 1, ac, &b[j0 * ac..br * ac], br - j0, &mut out[j0..br]);
 }
 
 /// A borrowed row-major matrix view over caller-owned storage. The GEMM
@@ -713,8 +801,26 @@ mod tests {
         }
     }
 
-    /// Zero inputs must hit every tile/tail path without changing bits —
-    /// the tiled kernels' accumulation order is the naive ascending-k order.
+    /// A Xavier `rows × cols` matrix with signed zeros planted: every third
+    /// row is all `-0.0`, the next all `+0.0`, the rest keep random values.
+    fn with_zero_rows(rows: usize, cols: usize, rng: &mut crate::Rng) -> Matrix {
+        let mut m = Matrix::xavier(rows, cols, rng);
+        for r in 0..rows {
+            match r % 3 {
+                0 => m.row_mut(r).fill(-0.0),
+                1 => m.row_mut(r).fill(0.0),
+                _ => {}
+            }
+        }
+        m
+    }
+
+    /// Random operands, then operands whose products are all `±0.0`, must
+    /// hit every tile/tail path without changing bits — the tiled kernels'
+    /// accumulation order is the naive ascending-k order from `+0.0`. With
+    /// `-0.0` rows against all-positive weights every product is `-0.0`,
+    /// so a path seeded at `-0.0` would return `-0.0` where the rest
+    /// return `+0.0`.
     #[test]
     fn tiled_kernels_match_naive_reference_to_the_bit() {
         let mut rng = crate::Rng::seed_from_u64(7);
@@ -727,20 +833,66 @@ mod tests {
             (12, 32, 24),
             (64, 10, 12),
         ] {
-            let a = Matrix::xavier(m, k, &mut rng);
-            let b = Matrix::xavier(k, n, &mut rng);
-            assert_bits_eq(&a.matmul(&b), &naive_nn(&a, &b));
-            let mut into = Matrix::zeros(1, 1);
-            a.matmul_into(&b, &mut into);
-            assert_bits_eq(&into, &naive_nn(&a, &b));
+            for zeros in [false, true] {
+                let lhs = |rows, cols, rng: &mut crate::Rng| {
+                    if zeros {
+                        with_zero_rows(rows, cols, rng)
+                    } else {
+                        Matrix::xavier(rows, cols, rng)
+                    }
+                };
+                let rhs = |rows, cols, rng: &mut crate::Rng| {
+                    let m = Matrix::xavier(rows, cols, rng);
+                    if zeros {
+                        m.map(f32::abs)
+                    } else {
+                        m
+                    }
+                };
+                let a = lhs(m, k, &mut rng);
+                let b = rhs(k, n, &mut rng);
+                assert_bits_eq(&a.matmul(&b), &naive_nn(&a, &b));
+                let mut into = Matrix::zeros(1, 1);
+                a.matmul_into(&b, &mut into);
+                assert_bits_eq(&into, &naive_nn(&a, &b));
 
-            let at = Matrix::xavier(k, m, &mut rng);
-            let bt = Matrix::xavier(k, n, &mut rng);
-            assert_bits_eq(&at.matmul_tn(&bt), &naive_tn(&at, &bt));
+                // For aᵀ·b the zero rows of `a` zero whole k-terms; zero
+                // columns make whole outputs ±0 products.
+                let at = lhs(m, k, &mut rng).transpose();
+                let bt = rhs(k, n, &mut rng);
+                assert_bits_eq(&at.matmul_tn(&bt), &naive_tn(&at, &bt));
 
-            let an = Matrix::xavier(m, k, &mut rng);
-            let bn = Matrix::xavier(n, k, &mut rng);
-            assert_bits_eq(&an.matmul_nt(&bn), &naive_nt(&an, &bn));
+                let an = lhs(m, k, &mut rng);
+                let bn = rhs(n, k, &mut rng);
+                assert_bits_eq(&an.matmul_nt(&bn), &naive_nt(&an, &bn));
+            }
+        }
+    }
+
+    /// The lane-parallel matvec equals a 1-row `matmul_nt` to the bit on
+    /// every block/tail shape, signed zeros included.
+    #[test]
+    fn matvec_nt_matches_one_row_matmul_nt() {
+        let mut rng = crate::Rng::seed_from_u64(8);
+        for &(k, n) in &[
+            (1usize, 1usize),
+            (5, 3),
+            (8, 8),
+            (12, 9),
+            (16, 24),
+            (37, 17),
+            (512, 128),
+        ] {
+            let b = Matrix::xavier(n, k, &mut rng);
+            let mut xs = vec![Matrix::xavier(1, k, &mut rng), Matrix::zeros(1, k)];
+            xs.push(xs[1].map(|_| -0.0));
+            for x in &xs {
+                for b in [b.clone(), b.map(f32::abs)] {
+                    let mut out = vec![f32::NAN; n];
+                    matvec_nt(x.data(), b.data(), n, &mut out);
+                    assert_bits_eq(&Matrix::from_vec(1, n, out), &x.matmul_nt(&b));
+                }
+            }
         }
     }
 

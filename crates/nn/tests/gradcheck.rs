@@ -3,8 +3,10 @@
 //! The RL results upstream are meaningless if backprop is wrong, so each
 //! hand-written backward pass is verified against central differences:
 //! for a scalar loss `L = Σ out∘T` (T a fixed random target matrix, so
-//! `∂L/∂out = T`), every parameter *and* every input gradient must match
-//! `(L(θ+ε) − L(θ−ε)) / 2ε`.
+//! `∂L/∂out = T`), every parameter gradient, and every input gradient a
+//! backward returns, must match `(L(θ+ε) − L(θ−ε)) / 2ε`. The LSTM's
+//! whole-sequence BPTT returns no input gradient; its recurrent terms are
+//! checked through the parameter gradients of the earlier steps they feed.
 //!
 //! Tolerances are set for `f32`: central differencing leaves ~`ε²`
 //! truncation plus ~`ulp(L)/ε` rounding, so with `ε = 1e-2` a 2% relative
@@ -12,7 +14,7 @@
 //! enough to catch a wrong term and loose enough to never flake.
 
 use rand::Rng as _;
-use tinynn::{Activation, Linear, LstmCell, LstmState, Matrix, Mlp, Rng, SeedableRng};
+use tinynn::{Activation, Linear, LstmCache, LstmCell, LstmState, Matrix, Mlp, Rng, SeedableRng};
 
 const EPS: f32 = 1e-2;
 const REL_TOL: f32 = 2e-2;
@@ -163,30 +165,32 @@ fn mlp_gradients_match_finite_differences() {
 
 // ---- LstmCell --------------------------------------------------------------
 
-/// Loss over one LSTM step touching both outputs: `Σ h'∘Th + Σ c'∘Tc`.
-fn lstm_step_loss(cell: &LstmCell, x: &Matrix, state: &LstmState, th: &Matrix, tc: &Matrix) -> f32 {
-    let (next, _) = cell.forward(x, state);
-    weighted_sum(&next.h, th) + weighted_sum(&next.c, tc)
+/// Runs `xs` forward from `state` and returns each step's cache.
+fn lstm_caches(cell: &LstmCell, xs: &[Matrix], mut state: LstmState) -> Vec<LstmCache> {
+    xs.iter()
+        .map(|x| {
+            let (next, cache) = cell.forward(x, &state);
+            state = next;
+            cache
+        })
+        .collect()
 }
 
-#[test]
-fn lstm_cell_gradients_match_finite_differences() {
-    let mut rng = Rng::seed_from_u64(31);
-    let (input, hidden, batch) = (3, 4, 2);
-    let mut cell = LstmCell::new(input, hidden, &mut rng);
-    let mut x = rand_matrix(batch, input, &mut rng);
-    let mut state = LstmState {
-        h: rand_matrix(batch, hidden, &mut rng),
-        c: rand_matrix(batch, hidden, &mut rng),
-    };
-    let th = rand_matrix(batch, hidden, &mut rng);
-    let tc = rand_matrix(batch, hidden, &mut rng);
+/// Loss over a sequence touching every step's output: `Σ_t h_t∘T_t`.
+fn lstm_sequence_loss(cell: &LstmCell, xs: &[Matrix], state: &LstmState, t: &Matrix) -> f32 {
+    let mut state = state.clone();
+    let mut total = 0.0;
+    for (step, x) in xs.iter().enumerate() {
+        let (next, _) = cell.forward(x, &state);
+        total += weighted_sum(&next.h, &Matrix::row_from_slice(t.row(step)));
+        state = next;
+    }
+    total
+}
 
-    cell.zero_grad();
-    let (_, cache) = cell.forward(&x, &state);
-    let (dx, dh_prev, dc_prev) = cell.backward(&x, &cache, &th, &tc);
-
-    // Parameter gradients (wx, wh, b), via the data_mut on the public fields.
+/// Every parameter gradient of `cell` (already filled by BPTT) against
+/// central differences of `loss`.
+fn check_lstm_params(cell: &mut LstmCell, loss: impl Fn(&LstmCell) -> f32, what: &str) {
     macro_rules! check_param {
         ($field:ident) => {
             let analytic = cell.$field.g.clone();
@@ -194,16 +198,16 @@ fn lstm_cell_gradients_match_finite_differences() {
                 let num = {
                     let orig = cell.$field.w.data()[k];
                     cell.$field.w.data_mut()[k] = orig + EPS;
-                    let plus = lstm_step_loss(&cell, &x, &state, &th, &tc);
+                    let plus = loss(cell);
                     cell.$field.w.data_mut()[k] = orig - EPS;
-                    let minus = lstm_step_loss(&cell, &x, &state, &th, &tc);
+                    let minus = loss(cell);
                     cell.$field.w.data_mut()[k] = orig;
                     (plus - minus) / (2.0 * EPS)
                 };
                 assert_grad_close(
                     analytic.data()[k],
                     num,
-                    &format!("LstmCell {}[{k}]", stringify!($field)),
+                    &format!("{what} {}[{k}]", stringify!($field)),
                 );
             }
         };
@@ -211,85 +215,60 @@ fn lstm_cell_gradients_match_finite_differences() {
     check_param!(wx);
     check_param!(wh);
     check_param!(b);
+}
 
-    // Input and carried-state gradients.
-    for k in 0..x.data().len() {
-        let num = {
-            let orig = x.data()[k];
-            x.data_mut()[k] = orig + EPS;
-            let plus = lstm_step_loss(&cell, &x, &state, &th, &tc);
-            x.data_mut()[k] = orig - EPS;
-            let minus = lstm_step_loss(&cell, &x, &state, &th, &tc);
-            x.data_mut()[k] = orig;
-            (plus - minus) / (2.0 * EPS)
-        };
-        assert_grad_close(dx.data()[k], num, &format!("LstmCell dx[{k}]"));
-    }
-    for k in 0..state.h.data().len() {
-        let num = {
-            let orig = state.h.data()[k];
-            state.h.data_mut()[k] = orig + EPS;
-            let plus = lstm_step_loss(&cell, &x, &state, &th, &tc);
-            state.h.data_mut()[k] = orig - EPS;
-            let minus = lstm_step_loss(&cell, &x, &state, &th, &tc);
-            state.h.data_mut()[k] = orig;
-            (plus - minus) / (2.0 * EPS)
-        };
-        assert_grad_close(dh_prev.data()[k], num, &format!("LstmCell dh_prev[{k}]"));
-    }
-    for k in 0..state.c.data().len() {
-        let num = {
-            let orig = state.c.data()[k];
-            state.c.data_mut()[k] = orig + EPS;
-            let plus = lstm_step_loss(&cell, &x, &state, &th, &tc);
-            state.c.data_mut()[k] = orig - EPS;
-            let minus = lstm_step_loss(&cell, &x, &state, &th, &tc);
-            state.c.data_mut()[k] = orig;
-            (plus - minus) / (2.0 * EPS)
-        };
-        assert_grad_close(dc_prev.data()[k], num, &format!("LstmCell dc_prev[{k}]"));
-    }
+#[test]
+fn lstm_cell_gradients_match_finite_differences() {
+    // A 3-step sequence from a random (non-zero) initial state, with the
+    // loss reading every step's h. The carried (dh, dc) of the later steps
+    // feed the earlier steps' share of every parameter gradient, so a wrong
+    // recurrent term fails the parameter checks below. (BPTT forms no input
+    // gradient, and no state gradient for the earliest step.)
+    let mut rng = Rng::seed_from_u64(31);
+    let (input, hidden, steps) = (3, 4, 3);
+    let mut cell = LstmCell::new(input, hidden, &mut rng);
+    let xs: Vec<Matrix> = (0..steps)
+        .map(|_| rand_matrix(1, input, &mut rng))
+        .collect();
+    let state = LstmState {
+        h: rand_matrix(1, hidden, &mut rng),
+        c: rand_matrix(1, hidden, &mut rng),
+    };
+    let t = rand_matrix(steps, hidden, &mut rng);
+
+    cell.zero_grad();
+    let caches = lstm_caches(&cell, &xs, state.clone());
+    let seq: Vec<(&[f32], &LstmCache)> =
+        xs.iter().zip(&caches).map(|(x, c)| (x.row(0), c)).collect();
+    cell.backward_sequence(&seq, t.view());
+
+    check_lstm_params(
+        &mut cell,
+        |c| lstm_sequence_loss(c, &xs, &state, &t),
+        "LstmCell",
+    );
 }
 
 #[test]
 fn lstm_bptt_over_two_steps_matches_finite_differences() {
-    // The crate's contract is caller-owned BPTT: run backward in reverse
-    // time order, threading (dh_prev, dc_prev) into the earlier step, with
-    // parameter gradients accumulating across steps. Verify the *summed*
-    // wx gradient against finite differences of the unrolled loss.
+    // Only the last step's h enters the loss, so every gradient of the
+    // first step arrives through the carried (dh, dc) alone.
     let mut rng = Rng::seed_from_u64(41);
-    let (input, hidden, batch) = (3, 4, 2);
+    let (input, hidden) = (3, 4);
     let mut cell = LstmCell::new(input, hidden, &mut rng);
-    let x1 = rand_matrix(batch, input, &mut rng);
-    let x2 = rand_matrix(batch, input, &mut rng);
-    let th = rand_matrix(batch, hidden, &mut rng);
-
-    let unrolled_loss = |cell: &LstmCell| -> f32 {
-        let s0 = LstmState::zeros(batch, hidden);
-        let (s1, _) = cell.forward(&x1, &s0);
-        let (s2, _) = cell.forward(&x2, &s1);
-        weighted_sum(&s2.h, &th)
-    };
+    let xs = vec![
+        rand_matrix(1, input, &mut rng),
+        rand_matrix(1, input, &mut rng),
+    ];
+    let mut t = rand_matrix(2, hidden, &mut rng);
+    t.row_mut(0).fill(0.0);
+    let s0 = LstmState::zeros(1, hidden);
 
     cell.zero_grad();
-    let s0 = LstmState::zeros(batch, hidden);
-    let (s1, cache1) = cell.forward(&x1, &s0);
-    let (_s2, cache2) = cell.forward(&x2, &s1);
-    let zero_dc = Matrix::zeros(batch, hidden);
-    let (_dx2, dh1, dc1) = cell.backward(&x2, &cache2, &th, &zero_dc);
-    let (_dx1, _dh0, _dc0) = cell.backward(&x1, &cache1, &dh1, &dc1);
+    let caches = lstm_caches(&cell, &xs, s0.clone());
+    let seq: Vec<(&[f32], &LstmCache)> =
+        xs.iter().zip(&caches).map(|(x, c)| (x.row(0), c)).collect();
+    cell.backward_sequence(&seq, t.view());
 
-    let analytic = cell.wx.g.clone();
-    for k in 0..analytic.data().len() {
-        let num = {
-            let orig = cell.wx.w.data()[k];
-            cell.wx.w.data_mut()[k] = orig + EPS;
-            let plus = unrolled_loss(&cell);
-            cell.wx.w.data_mut()[k] = orig - EPS;
-            let minus = unrolled_loss(&cell);
-            cell.wx.w.data_mut()[k] = orig;
-            (plus - minus) / (2.0 * EPS)
-        };
-        assert_grad_close(analytic.data()[k], num, &format!("BPTT wx[{k}]"));
-    }
+    check_lstm_params(&mut cell, |c| lstm_sequence_loss(c, &xs, &s0, &t), "BPTT");
 }

@@ -118,10 +118,8 @@ impl A2c {
             dout.row_mut(t)[0] = 2.0 * err / returns.len() as f32;
         }
         self.critic.backward(&cache, &dout);
-        let mut params = self.critic.params_mut();
-        tinynn::clip_global_grad_norm(&mut params, self.config.max_grad_norm);
-        self.critic_opt.step(&mut params);
-        self.critic.zero_grad();
+        self.critic_opt
+            .update(&mut self.critic.params_mut(), self.config.max_grad_norm);
 
         EpochReport {
             episode_reward: rewards.iter().sum(),

@@ -170,10 +170,7 @@ impl Acktr {
             dout.row_mut(t)[0] = 2.0 * err / returns.len() as f32;
         }
         self.critic.backward(&cache, &dout);
-        let mut cparams = self.critic.params_mut();
-        tinynn::clip_global_grad_norm(&mut cparams, 5.0);
-        self.critic_opt.step(&mut cparams);
-        self.critic.zero_grad();
+        self.critic_opt.update(&mut self.critic.params_mut(), 5.0);
 
         EpochReport {
             episode_reward: rewards.iter().sum(),

@@ -183,10 +183,7 @@ impl Ddpg {
             let dout = Matrix::from_vec(1, 1, vec![2.0 * err / cfg.batch_size as f32]);
             self.critic.backward(&cache, &dout);
         }
-        let mut cparams = self.critic.params_mut();
-        tinynn::clip_global_grad_norm(&mut cparams, 5.0);
-        self.critic_opt.step(&mut cparams);
-        self.critic.zero_grad();
+        self.critic_opt.update(&mut self.critic.params_mut(), 5.0);
 
         // --- Actor: ascend Q(s, µ(s)). ---
         self.actor.zero_grad();
@@ -207,10 +204,7 @@ impl Ddpg {
         // Discard the parameter gradients the actor pass accumulated in the
         // critic.
         self.critic.zero_grad();
-        let mut aparams = self.actor.params_mut();
-        tinynn::clip_global_grad_norm(&mut aparams, 5.0);
-        self.actor_opt.step(&mut aparams);
-        self.actor.zero_grad();
+        self.actor_opt.update(&mut self.actor.params_mut(), 5.0);
 
         // --- Target Polyak updates. ---
         self.actor_target.soft_update_from(&self.actor, cfg.tau);

@@ -329,7 +329,8 @@ impl PolicyNet {
         // head's backward is then one T-row GEMM pair instead of T matvecs.
         // Gradients must be zero on entry (every caller pairs this with
         // `apply_update`); with zeroed accumulators the batched per-element
-        // ascending-t sums are bit-identical to the per-step adds.
+        // sums (ascending t for the heads, descending t for the LSTM's BPTT)
+        // are bit-identical to the per-step adds.
         let mut feats = Matrix::zeros(t_len, self.hidden);
         for (t, step) in steps.iter().enumerate() {
             feats.row_mut(t).copy_from_slice(step.features.row(0));
@@ -366,22 +367,21 @@ impl PolicyNet {
             let dfeat_h = head.backward(&feats, &dlogits);
             dfeat_total.add_assign(&dfeat_h);
         }
-        // Backbone backward (BPTT for the RNN, one stacked GEMM for MLP).
+        // Backbone backward (one whole-episode BPTT call for the RNN, one
+        // stacked GEMM for MLP).
         match &mut self.backbone {
             Backbone::Rnn(cell) => {
-                let mut dh = Matrix::zeros(1, self.hidden);
-                let mut dc = Matrix::zeros(1, self.hidden);
-                for (t, step) in steps.iter().enumerate().rev() {
-                    let cache = step
-                        .lstm_cache
-                        .as_ref()
-                        .expect("RNN policy steps carry an LSTM cache");
-                    let dfeat = Matrix::row_from_slice(dfeat_total.row(t));
-                    let dh_total = dh.add(&dfeat);
-                    let (_dx, dh_prev, dc_prev) = cell.backward(&step.obs, cache, &dh_total, &dc);
-                    dh = dh_prev;
-                    dc = dc_prev;
-                }
+                let seq: Vec<(&[f32], &LstmCache)> = steps
+                    .iter()
+                    .map(|step| {
+                        let cache = step
+                            .lstm_cache
+                            .as_ref()
+                            .expect("RNN policy steps carry an LSTM cache");
+                        (step.obs.row(0), cache)
+                    })
+                    .collect();
+                cell.backward_sequence(&seq, dfeat_total.view());
             }
             Backbone::Mlp(l1) => {
                 // tanh derivative through the cached activated features.
@@ -418,12 +418,10 @@ impl PolicyNet {
         params
     }
 
-    /// Applies one clipped Adam update and clears gradients.
+    /// Applies one clipped Adam update, which also clears the gradients
+    /// (see [`Adam::update`]).
     pub fn apply_update(&mut self, opt: &mut Adam, max_grad_norm: f32) {
-        let mut params = self.params_mut();
-        tinynn::clip_global_grad_norm(&mut params, max_grad_norm);
-        opt.step(&mut params);
-        self.zero_grad();
+        opt.update(&mut self.params_mut(), max_grad_norm);
     }
 
     /// Total scalar parameter count (Table V's memory-overhead column).

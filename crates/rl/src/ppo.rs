@@ -149,10 +149,8 @@ impl Ppo {
                     dout.row_mut(t)[0] = 2.0 * err / ep.returns.len() as f32;
                 }
                 self.critic.backward(&cache, &dout);
-                let mut cparams = self.critic.params_mut();
-                tinynn::clip_global_grad_norm(&mut cparams, self.config.max_grad_norm);
-                self.critic_opt.step(&mut cparams);
-                self.critic.zero_grad();
+                self.critic_opt
+                    .update(&mut self.critic.params_mut(), self.config.max_grad_norm);
             }
         }
         self.buffer.clear();

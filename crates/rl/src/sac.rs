@@ -181,10 +181,7 @@ impl Sac {
             (&mut self.q1, &mut self.q1_opt),
             (&mut self.q2, &mut self.q2_opt),
         ] {
-            let mut params = q.params_mut();
-            tinynn::clip_global_grad_norm(&mut params, 5.0);
-            opt.step(&mut params);
-            q.zero_grad();
+            opt.update(&mut q.params_mut(), 5.0);
         }
 
         // --- Actor: minimize α·logπ − min(Q1, Q2) via reparameterization. ---
@@ -213,10 +210,7 @@ impl Sac {
         }
         self.q1.zero_grad();
         self.q2.zero_grad();
-        let mut aparams = self.actor.params_mut();
-        tinynn::clip_global_grad_norm(&mut aparams, 5.0);
-        self.actor_opt.step(&mut aparams);
-        self.actor.zero_grad();
+        self.actor_opt.update(&mut self.actor.params_mut(), 5.0);
 
         self.q1_target.soft_update_from(&self.q1, cfg.tau);
         self.q2_target.soft_update_from(&self.q2, cfg.tau);

@@ -158,10 +158,7 @@ impl Td3 {
             (&mut self.q1, &mut self.q1_opt),
             (&mut self.q2, &mut self.q2_opt),
         ] {
-            let mut params = q.params_mut();
-            tinynn::clip_global_grad_norm(&mut params, 5.0);
-            opt.step(&mut params);
-            q.zero_grad();
+            opt.update(&mut q.params_mut(), 5.0);
         }
 
         self.update_count += 1;
@@ -187,10 +184,7 @@ impl Td3 {
             self.actor.backward(&cache, &dout);
         }
         self.q1.zero_grad();
-        let mut aparams = self.actor.params_mut();
-        tinynn::clip_global_grad_norm(&mut aparams, 5.0);
-        self.actor_opt.step(&mut aparams);
-        self.actor.zero_grad();
+        self.actor_opt.update(&mut self.actor.params_mut(), 5.0);
 
         self.actor_target.soft_update_from(&self.actor, cfg.tau);
         self.q1_target.soft_update_from(&self.q1, cfg.tau);

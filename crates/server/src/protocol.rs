@@ -202,18 +202,22 @@ fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
-/// Serializes `msg` and writes it as one length-prefixed frame.
+/// Serializes `msg` and writes it as one length-prefixed frame, prefix and
+/// body in a single `write_all`. Two writes would put a 4-byte segment on
+/// the wire ahead of the body, which Nagle's algorithm then holds until the
+/// peer's delayed ACK (~40 ms per small frame).
 pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), FrameError> {
     let text = serde_json::to_string(msg).map_err(|e| FrameError::Malformed(format!("{e:?}")))?;
-    let bytes = text.as_bytes();
-    if bytes.len() > MAX_FRAME_LEN {
+    let len = text.len();
+    if len > MAX_FRAME_LEN {
         return Err(FrameError::Bad(format!(
-            "frame of {} bytes exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN})",
-            bytes.len()
+            "frame of {len} bytes exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN})"
         )));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + len);
+    frame.extend_from_slice(&(len as u32).to_be_bytes());
+    frame.extend_from_slice(text.as_bytes());
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -366,6 +370,44 @@ mod tests {
             read_frame::<_, Request>(&mut Cursor::new(buf)),
             Err(FrameError::Bad(_))
         ));
+    }
+
+    /// A writer that records how each `write` call carved up the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Prefix and body leave in one `write` per frame, so a socket never
+    /// sees a lone 4-byte prefix segment for Nagle to hold back.
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        let frames = [Request::Ping, Request::Jobs, Request::Shutdown];
+        for req in &frames {
+            write_frame(&mut w, req).unwrap();
+        }
+        assert_eq!(w.writes.len(), frames.len(), "writes: {:?}", w.writes);
+        let mut cur = Cursor::new(w.bytes);
+        for req in &frames {
+            assert_eq!(
+                read_frame::<_, Request>(&mut cur).unwrap().as_ref(),
+                Some(req)
+            );
+        }
     }
 
     #[test]

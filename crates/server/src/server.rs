@@ -496,6 +496,12 @@ fn handle_tcp_conn(inner: Arc<Inner>, stream: TcpStream) {
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
+    // Frames are small and latency-bound (acks, progress events): send each
+    // as soon as it is written instead of letting Nagle batch it behind the
+    // peer's delayed ACK.
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     // A peer that stops draining its socket must stall only its own
     // writer thread, and only briefly — not wedge it forever.
     if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
