@@ -1,7 +1,6 @@
 //! Criterion benchmarks of one search epoch on the real MobileNet-V2
-//! problem: a full RL training episode per algorithm plus a cached
-//! whole-model evaluation — the sample-cost comparison behind Table V's
-//! search times.
+//! problem: a full RL training episode per algorithm plus a whole-model
+//! evaluation — the sample-cost comparison behind Table V's search times.
 
 use confuciux::{
     make_agent, AlgorithmKind, ConstraintKind, Deployment, HwEnv, HwProblem, Objective,
@@ -48,7 +47,7 @@ fn bench_full_model_eval(c: &mut Criterion) {
             point,
         })
         .collect();
-    c.bench_function("evaluate_lp_cached", |b| b.iter(|| p.evaluate_lp(&layers)));
+    c.bench_function("evaluate_lp", |b| b.iter(|| p.evaluate_lp(&layers)));
 }
 
 criterion_group!(benches, bench_rl_epoch, bench_full_model_eval);

@@ -1,9 +1,8 @@
 //! CI kill-and-resume smoke test: runs a two-stage search uninterrupted,
-//! then kills the same search mid-stage, saves a checkpoint plus cost-cache
-//! sidecar, resumes it on a *fresh* problem (fresh engine, warm cache from
-//! disk), and fails if the resumed result is not bit-identical — including
-//! the cache hit/miss counters, which only match if the persisted cache
-//! round-tripped faithfully.
+//! then kills the same search mid-stage, saves a checkpoint to disk,
+//! resumes it on a *fresh* problem, and fails if the resumed result is not
+//! bit-identical — including the engine's hit/miss counters, which the
+//! checkpoint carries for the steps before the kill.
 //!
 //! Exercised for both a mid-global (RL stage) and a mid-fine (GA stage)
 //! kill point, at the default `--n-envs`.
@@ -14,7 +13,7 @@ use confuciux::{
     two_stage_search, ConstraintKind, EvalStats, Fnv, HwProblem, JobSpec, Objective, PlatformClass,
     SearchCheckpoint, TwoStageConfig, TwoStageResult, TwoStageRunner,
 };
-use confuciux_bench::{cache_sidecar, standard_spec, Args};
+use confuciux_bench::{standard_spec, Args};
 use maestro::Dataflow;
 
 /// The spec every scenario runs; one [`JobSpec`] describes the whole job.
@@ -40,7 +39,6 @@ fn fresh_problem(spec: &JobSpec) -> HwProblem {
 fn push_stats(fnv: &mut Fnv, stats: &EvalStats) {
     fnv.push(stats.hits);
     fnv.push(stats.misses);
-    fnv.push(stats.evictions);
 }
 
 /// Digest over every seed-determined field of a result: traces, costs,
@@ -74,7 +72,7 @@ fn digest(result: &TwoStageResult) -> u64 {
 type KillFn = fn(&TwoStageRunner) -> bool;
 
 /// Kills the search once `kill` fires, checkpoints to disk, resumes on a
-/// fresh problem with the cache loaded from the sidecar, and finishes.
+/// fresh problem, and finishes.
 fn killed_and_resumed(
     spec: &JobSpec,
     cfg: &TwoStageConfig,
@@ -88,17 +86,11 @@ fn killed_and_resumed(
     }
     let checkpoint = runner.checkpoint().expect("mid-run checkpoint");
     checkpoint.save(checkpoint_path).expect("save checkpoint");
-    let sidecar = cache_sidecar(checkpoint_path);
-    victim.save_cache(&sidecar).expect("save cache sidecar");
     drop(runner);
     drop(victim);
 
     let resumed_problem = fresh_problem(spec);
     let reloaded = SearchCheckpoint::load(checkpoint_path).expect("load checkpoint");
-    let entries = resumed_problem
-        .load_cache(&sidecar)
-        .expect("load cache sidecar");
-    assert!(entries > 0, "cache sidecar should not be empty mid-run");
     TwoStageRunner::resume(&resumed_problem, &reloaded)
         .expect("resume from checkpoint")
         .into_result()
@@ -123,10 +115,11 @@ fn main() {
         let resumed = killed_and_resumed(&spec, &cfg, &path, kill);
         let got = digest(&resumed);
         let stats = resumed.global.eval_stats;
-        let hit_rate = stats.hits as f64 / stats.total().max(1) as f64;
         println!(
-            "{name}_digest={got:#018x} global_hits={} global_misses={} warm_hit_rate={hit_rate:.3}",
-            stats.hits, stats.misses
+            "{name}_digest={got:#018x} global_hits={} global_misses={} hit_rate={:.3}",
+            stats.hits,
+            stats.misses,
+            stats.hit_rate()
         );
         if got != reference {
             eprintln!("FAIL: {name} resume diverged from the uninterrupted run");
@@ -134,7 +127,7 @@ fn main() {
         }
         if stats != uninterrupted.global.eval_stats {
             eprintln!(
-                "FAIL: {name} warm-cache counters diverged (expected {:?}, got {stats:?})",
+                "FAIL: {name} counters diverged (expected {:?}, got {stats:?})",
                 uninterrupted.global.eval_stats
             );
             failed = true;

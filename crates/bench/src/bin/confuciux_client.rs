@@ -349,12 +349,7 @@ fn print_event(event: &Event) -> bool {
         Event::ServerStats {
             jobs_total,
             jobs_running,
-            engines,
-            cache_entries,
-        } => println!(
-            "stats jobs_total={jobs_total} jobs_running={jobs_running} \
-             engines={engines} cache_entries={cache_entries}"
-        ),
+        } => println!("stats jobs_total={jobs_total} jobs_running={jobs_running}"),
         Event::Error { message } => {
             eprintln!("server error: {message}");
             exit(1);

@@ -4,8 +4,7 @@
 //! trace.
 //!
 //! Supports `--checkpoint PATH` / `--resume PATH` for long budgets: a
-//! killed run resumed from its checkpoint (and cache sidecar) produces a
-//! bit-identical trace.
+//! killed run resumed from its checkpoint produces a bit-identical trace.
 
 use confuciux::{format_sci, write_json, ConstraintKind, Objective, PlatformClass};
 use confuciux_bench::{run_two_stage_checkpointed, standard_spec, Args};

@@ -110,7 +110,7 @@ fn main() {
             let r = run_baseline(&problem, kind, budget, spec.seed);
             cells.push(format_sci(r.best_cost()));
             eprintln!(
-                "  {}: {} evals ({:.0}% cache hits)",
+                "  {}: {} evals ({:.0}% deduplicated)",
                 r.algorithm,
                 r.eval_stats.total(),
                 r.eval_stats.hit_rate() * 100.0
@@ -119,7 +119,7 @@ fn main() {
         let conx = run_rl_search_vec(&problem, spec.algo, budget, spec.seed, spec.n_envs);
         cells.push(format_sci(conx.best_cost()));
         eprintln!(
-            "  {}: {} evals ({:.0}% cache hits)",
+            "  {}: {} evals ({:.0}% deduplicated)",
             conx.algorithm,
             conx.eval_stats.total(),
             conx.eval_stats.hit_rate() * 100.0

@@ -8,9 +8,9 @@
 //! Rollouts are vectorized (`--n-envs`, default 4): each search runs
 //! `n_envs` environment replicas in lockstep and batches their cost
 //! queries through the evaluation engine. Per-algorithm engine counters
-//! (fresh evaluations vs cache hits) are reported after each row so the
-//! cache's effect on the RL path is visible, as `table4_optimizers`
-//! already does for the classical baselines.
+//! (queries issued, and the share priced as in-batch duplicates) are
+//! reported after each row, as `table4_optimizers` already does for the
+//! classical baselines.
 
 use confuciux::{
     format_sci, run_rl_search_vec, write_json, AlgorithmKind, ConstraintKind, Objective,
@@ -143,7 +143,7 @@ fn main() {
                 params.push((kind.name().to_string(), r.param_count));
             }
             eprintln!(
-                "  {}: {} evals ({:.0}% cache hits)",
+                "  {}: {} evals ({:.0}% deduplicated)",
                 kind.name(),
                 r.eval_stats.total(),
                 r.eval_stats.hit_rate() * 100.0

@@ -14,21 +14,19 @@
 //!   subset.
 //! * `--n-envs N` — environment replicas for vectorized RL rollouts
 //!   (default 4; `1` reproduces the serial pre-vectorization numbers
-//!   bit-for-bit). Results depend on `N` but never on `CONFX_THREADS`.
+//!   bit-for-bit).
 //! * `--checkpoint PATH` — in binaries that drive a two-stage search,
-//!   periodically save a resumable [`SearchCheckpoint`] to `PATH` (plus
-//!   the cost cache to `PATH` with a `.cache.jsonl` suffix), so a killed
-//!   run can be continued with `--resume`.
+//!   periodically save a resumable [`SearchCheckpoint`] to `PATH`, so a
+//!   killed run can be continued with `--resume`.
 //! * `--resume PATH` — continue a search from a checkpoint written by
 //!   `--checkpoint`. The seed and search configuration come from the
-//!   checkpoint; the sidecar cache file, if present, warms the engine so
-//!   the resumed run also reproduces cache hit rates.
+//!   checkpoint.
 //! * `--checkpoint-every N` — steps between checkpoint saves (default 50;
 //!   one step is a rollout round or a GA generation).
 //!
 //! [`SearchCheckpoint`]: confuciux::SearchCheckpoint
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use confuciux::{
     ConstraintKind, DataflowSpec, Deployment, HwProblem, JobBudget, JobSpec, Objective,
@@ -167,24 +165,16 @@ pub fn standard_problem(
         .expect("known model")
 }
 
-/// Sidecar file that stores the cost cache next to a checkpoint, so a
-/// resumed run also reproduces the engine's hit/miss counters.
-pub fn cache_sidecar(checkpoint: &Path) -> PathBuf {
-    checkpoint.with_extension("cache.jsonl")
-}
-
 /// Drives a two-stage search through [`TwoStageRunner`], honouring the
 /// `--checkpoint` / `--resume` / `--checkpoint-every` flags.
 ///
 /// With `--resume`, the seed and configuration stored in the checkpoint
-/// take precedence over `cfg`/`seed`, and the sidecar cache (if present)
-/// is loaded before stepping so warm hit rates match the uninterrupted
-/// run. With `--checkpoint`, a [`SearchCheckpoint`] plus cache sidecar is
-/// saved every `checkpoint_every` steps.
+/// take precedence over `cfg`/`seed`. With `--checkpoint`, a
+/// [`SearchCheckpoint`] is saved every `checkpoint_every` steps.
 ///
 /// # Panics
 ///
-/// Panics if the checkpoint or cache files cannot be read or written.
+/// Panics if the checkpoint file cannot be read or written.
 pub fn run_two_stage_checkpointed(
     problem: &HwProblem,
     cfg: &TwoStageConfig,
@@ -195,16 +185,6 @@ pub fn run_two_stage_checkpointed(
         Some(path) => {
             let checkpoint = SearchCheckpoint::load(path)
                 .unwrap_or_else(|e| panic!("failed to load checkpoint {}: {e}", path.display()));
-            let sidecar = cache_sidecar(path);
-            if sidecar.exists() {
-                let entries = problem
-                    .load_cache(&sidecar)
-                    .unwrap_or_else(|e| panic!("failed to load cache {}: {e}", sidecar.display()));
-                eprintln!(
-                    "resumed with {entries} warm cache entries from {}",
-                    sidecar.display()
-                );
-            }
             TwoStageRunner::resume(problem, &checkpoint)
                 .unwrap_or_else(|e| panic!("failed to resume from {}: {e}", path.display()))
         }
@@ -222,10 +202,6 @@ pub fn run_two_stage_checkpointed(
                 checkpoint.save(path).unwrap_or_else(|e| {
                     panic!("failed to save checkpoint {}: {e}", path.display())
                 });
-                let sidecar = cache_sidecar(path);
-                problem
-                    .save_cache(&sidecar)
-                    .unwrap_or_else(|e| panic!("failed to save cache {}: {e}", sidecar.display()));
             }
         }
         if !more {

@@ -12,12 +12,7 @@ use std::time::Duration;
 use confuciux_server::{Server, ServerConfig};
 
 fn start_server() -> (thread::JoinHandle<()>, SocketAddr) {
-    let server = Arc::new(Server::new(ServerConfig {
-        workers: 2,
-        sidecar_dir: None,
-        flush_secs: 3600,
-        ..ServerConfig::default()
-    }));
+    let server = Arc::new(Server::new(ServerConfig::default()));
     let (addr_tx, addr_rx) = mpsc::channel();
     let handle = thread::spawn(move || {
         server

@@ -1,8 +1,7 @@
 //! Determinism digests: FNV-1a folded over bit-exact `u64` streams.
 //!
-//! The CI determinism matrix hashes search results across `CONFX_THREADS`
-//! values and diffs the digests; the kill-and-resume smoke and the server
-//! protocol reuse the same fold so "bit-identical" means one thing
+//! Search outcomes, the kill-and-resume smoke and the server protocol all
+//! fold through this one hash, so "bit-identical" means one thing
 //! everywhere. Feed floats through [`f64::to_bits`]; never hash a float's
 //! textual form.
 

@@ -188,8 +188,7 @@ impl HwEnv {
     /// exactly `problem.evaluate_ls(la.dataflow, la.point)`; the vectorized
     /// environment passes results straight out of a fused
     /// [`HwProblem::evaluate_ls_batch`] (bit-identical by that method's
-    /// contract) so a synchronized step never re-derives them through the
-    /// cache.
+    /// contract) so a synchronized step never prices them twice.
     pub(crate) fn step_ls_with(
         &mut self,
         la: LayerAssignment,
@@ -293,8 +292,8 @@ impl HwEnv {
     /// `(self.step_index(), decode_action(actions))`. The vectorized
     /// environment passes reports straight out of a fused
     /// [`HwProblem::evaluate_layer_batch`] so a synchronized step prices
-    /// all replicas in one engine batch instead of re-deriving each
-    /// report through the memo cache.
+    /// all replicas in one engine batch instead of pricing each report
+    /// again.
     pub(crate) fn step_lp_with(
         &mut self,
         actions: &[usize],

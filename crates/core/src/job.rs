@@ -12,14 +12,12 @@
 //! and [`SearchOutcome::digest`](crate::SearchOutcome::digest) of two
 //! runs of the same spec must agree.
 
-use std::sync::Arc;
-
-use maestro::{Dataflow, EvalEngine};
+use maestro::Dataflow;
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    AlgorithmKind, ConstraintKind, Deployment, HwProblem, HwProblemBuilder, Objective,
-    PlatformClass, SearchError, TwoStageConfig, TwoStageRunner,
+    AlgorithmKind, ConstraintKind, Deployment, HwProblem, Objective, PlatformClass, SearchError,
+    TwoStageConfig, TwoStageRunner,
 };
 
 /// Dataflow selection of a job: one fixed style, or the MIX mode where
@@ -137,8 +135,9 @@ impl JobSpec {
         Ok(())
     }
 
-    /// The problem builder this spec describes, before finalization.
-    fn problem_builder(&self) -> Result<HwProblemBuilder, SearchError> {
+    /// Builds the problem this spec describes — the single construction
+    /// path shared by bench binaries and the server.
+    pub fn build(&self) -> Result<HwProblem, SearchError> {
         self.validate()?;
         let model = dnn_models::by_name(&self.model).expect("validate() checked the model name");
         let builder = HwProblem::builder(model)
@@ -148,28 +147,8 @@ impl JobSpec {
         Ok(match self.dataflow.fixed() {
             Some(df) => builder.dataflow(df),
             None => builder.mix_dataflow(),
-        })
-    }
-
-    /// Builds the problem this spec describes — the single construction
-    /// path shared by bench binaries and the server.
-    pub fn build(&self) -> Result<HwProblem, SearchError> {
-        Ok(self.problem_builder()?.build())
-    }
-
-    /// Builds the problem over an existing engine, sharing its memo cache
-    /// (see [`HwProblemBuilder::shared_engine`]). The engine must belong
-    /// to the same model family.
-    pub fn build_shared(&self, engine: Arc<EvalEngine>) -> Result<HwProblem, SearchError> {
-        let spec_model = dnn_models::by_name(&self.model)
-            .ok_or_else(|| SearchError::InvalidSpec(format!("unknown model `{}`", self.model)))?;
-        if engine.layers() != spec_model.layers() {
-            return Err(SearchError::InvalidSpec(format!(
-                "engine was built for a different model than `{}`",
-                self.model
-            )));
         }
-        Ok(self.problem_builder()?.shared_engine(engine).build())
+        .build())
     }
 
     /// The two-stage configuration this spec describes.
@@ -188,19 +167,6 @@ impl JobSpec {
     /// [`TwoStageRunner::problem`].
     pub fn into_runner(self) -> Result<TwoStageRunner, SearchError> {
         let problem = self.build()?;
-        Ok(TwoStageRunner::new(
-            &problem,
-            &self.two_stage_config(),
-            self.seed,
-        ))
-    }
-
-    /// [`JobSpec::into_runner`] over a shared engine (warm cache).
-    pub fn into_runner_shared(
-        self,
-        engine: Arc<EvalEngine>,
-    ) -> Result<TwoStageRunner, SearchError> {
-        let problem = self.build_shared(engine)?;
         Ok(TwoStageRunner::new(
             &problem,
             &self.two_stage_config(),
@@ -260,23 +226,5 @@ mod tests {
         let runner = spec.clone().into_runner().unwrap();
         let result = runner.into_result();
         assert_eq!(result.global.trace.len(), 10);
-    }
-
-    #[test]
-    fn shared_engine_rejects_other_models() {
-        let tiny = JobSpec::paper_default("tiny_cnn").build().unwrap();
-        let spec = JobSpec::paper_default("MbnetV2");
-        assert!(matches!(
-            spec.build_shared(tiny.engine_handle()),
-            Err(SearchError::InvalidSpec(_))
-        ));
-    }
-
-    #[test]
-    fn shared_engine_build_matches_fresh_build() {
-        let spec = JobSpec::paper_default("tiny_cnn");
-        let fresh = spec.build().unwrap();
-        let shared = spec.build_shared(fresh.engine_handle()).unwrap();
-        assert_eq!(shared.budget().to_bits(), fresh.budget().to_bits());
     }
 }

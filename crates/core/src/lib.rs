@@ -64,10 +64,7 @@ pub use job::{DataflowSpec, JobBudget, JobSpec};
 pub use ls_sweep::{heuristic_a, heuristic_b, per_layer_optima, PerLayerOptimum};
 // Evaluation-engine types re-exported so downstream binaries can reach
 // them without a direct `maestro` dependency edge.
-pub use maestro::{
-    lock_recovering, threads_from_env, CacheLoad, CostOracle, EvalEngine, EvalQuery, EvalStats,
-    SerializedCache, THREADS_ENV,
-};
+pub use maestro::{threads_from_env, CostOracle, EvalEngine, EvalQuery, EvalStats};
 pub use outcome::SearchOutcome;
 pub use problem::{HwProblem, HwProblemBuilder};
 pub use report::{format_sci, write_json, ExperimentTable};

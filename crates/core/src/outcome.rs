@@ -61,7 +61,7 @@ impl SearchOutcome {
         Duration::from_nanos(self.wall_nanos)
     }
 
-    /// Cache hit rate of the run, in `[0, 1]`.
+    /// Engine hit rate of the run, in `[0, 1]` (see [`EvalStats`]).
     pub fn hit_rate(&self) -> f64 {
         self.eval_stats.hit_rate()
     }
@@ -80,10 +80,9 @@ impl SearchOutcome {
 
     /// Digest over every *seed-determined* field: best point, best cost,
     /// budgets spent, and the trace digest — but **not** eval stats or
-    /// wall time, which legitimately differ between a cold and a warm
-    /// cache. Two runs of the same [`JobSpec`](crate::JobSpec) must
-    /// produce equal digests no matter how often they were interrupted,
-    /// resumed, or served from a shared cache.
+    /// wall time, which are observability rather than results. Two runs
+    /// of the same [`JobSpec`](crate::JobSpec) must produce equal digests
+    /// no matter how often they were interrupted or resumed.
     pub fn digest(&self) -> u64 {
         let mut fnv = Fnv::new();
         fnv.push(self.best_cost_bits.unwrap_or(0));
@@ -216,12 +215,12 @@ mod tests {
     #[test]
     fn digest_ignores_cache_temperature() {
         let r = tiny_result();
-        let mut warm = r.outcome();
-        // Simulate a warm-cache rerun: same search, different counters.
-        warm.eval_stats.hits += 1_000;
-        warm.eval_stats.misses = 1;
-        warm.wall_nanos /= 2;
-        assert_eq!(warm.digest(), r.outcome().digest());
+        let mut other = r.outcome();
+        // Same search, different counters and wall time.
+        other.eval_stats.hits += 1_000;
+        other.eval_stats.misses = 1;
+        other.wall_nanos /= 2;
+        assert_eq!(other.digest(), r.outcome().digest());
     }
 
     #[test]

@@ -3,12 +3,10 @@ use std::sync::Arc;
 use dnn_models::Model;
 use maestro::{
     CostModel, CostOracle, CostReport, Dataflow, DesignPoint, EvalEngine, EvalQuery, EvalStats,
-    SerializedCache,
 };
 
 use crate::{
     ActionSpace, Assignment, ConstraintKind, Deployment, LayerAssignment, Objective, PlatformClass,
-    SearchError,
 };
 
 /// The immutable body of a problem, shared by every [`HwProblem`] handle
@@ -25,7 +23,7 @@ struct ProblemCore {
     deployment: Deployment,
     actions: ActionSpace,
     budget: f64,
-    engine: Arc<EvalEngine>,
+    engine: EvalEngine,
 }
 
 /// A fully-specified HW resource-assignment problem instance: the inputs of
@@ -33,18 +31,16 @@ struct ProblemCore {
 /// plus the cost model and coarse action space.
 ///
 /// Construction goes through [`HwProblem::builder`]. All layer evaluations
-/// flow through a shared [`EvalEngine`]: they are memoized (searches
-/// revisit the same `(layer, dataflow, point)` triples constantly) and the
-/// batch entry points fan cache misses out over the engine's worker pool.
+/// flow through the problem's [`EvalEngine`]: batch entry points price
+/// through its SoA kernel, singletons through the scalar model, and its
+/// counters record the work.
 ///
 /// `HwProblem` is a cheap-to-clone handle over an immutable, atomically
 /// reference-counted body: clones share the model, budget, and engine
-/// cache, so environments and runners can *own* a problem (no lifetime
+/// counters, so environments and runners can *own* a problem (no lifetime
 /// ties to the stack frame that built it) while a long-lived registry —
 /// the `confuciux-server` job table — holds another handle to the same
-/// instance. Two problems built through
-/// [`HwProblemBuilder::shared_engine`] additionally share one memo cache
-/// across different platforms/objectives of the same model family.
+/// instance.
 #[derive(Debug, Clone)]
 pub struct HwProblem {
     core: Arc<ProblemCore>,
@@ -63,9 +59,6 @@ impl HwProblem {
             actions: ActionSpace::paper_default(),
             cost_model: CostModel::default(),
             budget_override: None,
-            threads: None,
-            cache_capacity: None,
-            shared_engine: None,
         }
     }
 
@@ -114,19 +107,12 @@ impl HwProblem {
         self.core.budget
     }
 
-    /// The shared evaluation engine (cache + worker pool).
+    /// The evaluation engine every query of this problem goes through.
     pub fn engine(&self) -> &EvalEngine {
         &self.core.engine
     }
 
-    /// A counted handle to the engine, for sharing its memo cache with
-    /// other problems of the same model family (see
-    /// [`HwProblemBuilder::shared_engine`]).
-    pub fn engine_handle(&self) -> Arc<EvalEngine> {
-        Arc::clone(&self.core.engine)
-    }
-
-    /// Evaluates one layer on one design point (memoized).
+    /// Evaluates one layer on one design point.
     ///
     /// # Panics
     ///
@@ -145,11 +131,10 @@ impl HwProblem {
     }
 
     /// Evaluates a batch of `(layer, dataflow, point)` triples through the
-    /// engine in one shot; entry `i` answers `queries[i]`. Cache misses are
-    /// priced through the engine's SoA batch kernel
-    /// (`CostModel::evaluate_batch_into`) — bit-identical to scalar
-    /// evaluation, just much faster on batches that revisit layers, tiles
-    /// or array sizes.
+    /// engine in one shot; entry `i` answers `queries[i]`. The batch is
+    /// priced by the engine's SoA kernel (`CostModel::evaluate_batch_into`)
+    /// — bit-identical to scalar evaluation, just much faster on batches
+    /// that revisit layers, tiles or array sizes.
     ///
     /// # Panics
     ///
@@ -202,28 +187,23 @@ impl HwProblem {
 
     /// Candidates per fused engine batch in the `*_batch` entry points.
     /// Chunking keeps each batch's transient buffers (query list, report
-    /// list, dedup index) cache-resident: a fused batch over hundreds of
-    /// candidates otherwise streams megabytes through memory and costs
-    /// more per query than the serial path it replaces. On a
-    /// multi-threaded engine the chunk is widened to the engine's
-    /// [`parallel-batch target`](EvalEngine::parallel_batch_target) so an
-    /// all-miss chunk still engages the full worker pool — chunking must
-    /// never make the pool unreachable from these entry points.
+    /// list, the kernel's memo table) cache-resident: a fused batch over
+    /// hundreds of candidates otherwise streams megabytes through memory
+    /// and costs more per query than the serial path it replaces. A chunk
+    /// carries at least 512 queries; the kernel dedups within a chunk, so
+    /// the size also fixes how the engine's counters split a batch.
     fn batch_chunk_candidates(&self) -> usize {
-        const TARGET_QUERIES_PER_CHUNK: usize = 256;
-        let target = TARGET_QUERIES_PER_CHUNK.max(self.core.engine.parallel_batch_target());
-        // Round *up*: a full chunk must carry at least `target` queries,
-        // or an all-miss chunk would stay just below the pool's
-        // per-worker threshold and never engage every worker.
-        target.div_ceil(self.core.model.len().max(1)).max(1)
+        const TARGET_QUERIES_PER_CHUNK: usize = 512;
+        TARGET_QUERIES_PER_CHUNK
+            .div_ceil(self.core.model.len().max(1))
+            .max(1)
     }
 
     /// Batch form of [`Self::evaluate_lp`]: every candidate's per-layer
     /// queries are fused into cache-sized engine batches (a GA population
     /// of `P` candidates over an `n`-layer model becomes `P·n` queries,
-    /// dispatched a few hundred at a time, misses priced by the SoA batch
-    /// kernel), then reassembled per candidate. Results are bit-identical
-    /// to calling
+    /// priced by the SoA batch kernel a few hundred at a time), then
+    /// reassembled per candidate. Results are bit-identical to calling
     /// [`Self::evaluate_lp`] in a loop; the only difference is that
     /// infeasible candidates still price all their layers (the cost of
     /// dispatching a batch before any budget sum is known).
@@ -303,8 +283,8 @@ impl HwProblem {
     }
 
     /// Batch form of [`Self::evaluate_ls`]: all configurations' per-layer
-    /// queries run as fused, cache-sized engine batches with misses priced
-    /// by the SoA batch kernel. Results are bit-identical to calling
+    /// queries run as fused, cache-sized engine batches priced by the SoA
+    /// batch kernel. Results are bit-identical to calling
     /// [`Self::evaluate_ls`] in a loop.
     pub fn evaluate_ls_batch(
         &self,
@@ -367,8 +347,7 @@ impl HwProblem {
     }
 
     /// Measures `C_max` per Table II: the constraint consumption of the
-    /// whole model at the uniform maximum action pair. Runs through the
-    /// engine, so the reports are already memoized when the search starts.
+    /// whole model at the uniform maximum action pair, as one engine batch.
     fn measure_c_max(
         engine: &EvalEngine,
         dataflow: Option<Dataflow>,
@@ -409,49 +388,10 @@ impl HwProblem {
         m
     }
 
-    /// Number of memoized evaluations (observability for tests/benches).
-    pub fn cache_len(&self) -> usize {
-        self.core.engine.cache_len()
-    }
-
-    /// Cumulative cache hit/miss counters (observability; snapshot with
+    /// Cumulative engine hit/miss counters (observability; snapshot with
     /// [`EvalStats::since`] to report per-run deltas).
     pub fn eval_stats(&self) -> EvalStats {
         self.core.engine.stats()
-    }
-
-    /// Snapshot of the engine's memo cache in its persistable form.
-    pub fn cache_snapshot(&self) -> SerializedCache {
-        self.core.engine.to_serialized()
-    }
-
-    /// Loads memoized entries saved by [`HwProblem::cache_snapshot`] into
-    /// the engine (additive; the configured capacity bound still applies).
-    pub fn load_cache_snapshot(&self, cache: &SerializedCache) {
-        self.core.engine.load_serialized(cache);
-    }
-
-    /// Writes the memo cache to `path` as JSON lines, creating parent
-    /// directories as needed. A later run on the *same problem* can
-    /// [`HwProblem::load_cache`] it to start warm.
-    pub fn save_cache(&self, path: &std::path::Path) -> Result<(), SearchError> {
-        self.core
-            .engine
-            .save_cache_file(path)
-            .map_err(|e| SearchError::io(path, e))
-    }
-
-    /// Loads a cache file written by [`HwProblem::save_cache`], returning
-    /// the number of entries in the file. Entries are only meaningful for
-    /// the same model and cost model the file was saved under.
-    pub fn load_cache(&self, path: &std::path::Path) -> Result<usize, SearchError> {
-        self.core.engine.load_cache_file(path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::InvalidData {
-                SearchError::Format(format!("{}: {e}", path.display()))
-            } else {
-                SearchError::io(path, e)
-            }
-        })
     }
 }
 
@@ -467,9 +407,6 @@ pub struct HwProblemBuilder {
     actions: ActionSpace,
     cost_model: CostModel,
     budget_override: Option<f64>,
-    threads: Option<usize>,
-    cache_capacity: Option<usize>,
-    shared_engine: Option<Arc<EvalEngine>>,
 }
 
 impl HwProblemBuilder {
@@ -523,70 +460,9 @@ impl HwProblemBuilder {
         self
     }
 
-    /// Overrides the evaluation engine's worker count (default: the
-    /// `CONFX_THREADS` environment variable, falling back to the machine's
-    /// available parallelism). Results are bit-identical for every thread
-    /// count; this only changes wall time. Ignored when
-    /// [`HwProblemBuilder::shared_engine`] supplies the engine.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Bounds the engine's memo cache to roughly `capacity` entries
-    /// (oldest entries are evicted per shard once full). The default is
-    /// unbounded — long searches on small models revisit points far too
-    /// often for eviction to pay off — but memory-constrained sweeps over
-    /// many large models can cap it. Ignored when
-    /// [`HwProblemBuilder::shared_engine`] supplies the engine (capacity
-    /// is fixed at the engine's construction).
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = Some(capacity);
-        self
-    }
-
-    /// Builds the problem over an existing engine instead of constructing
-    /// a fresh one, sharing its memo cache. The memoized values key on
-    /// `(layer, dataflow, point)` only, so problems that differ in
-    /// platform, objective, constraint, or deployment — the whole Table IV
-    /// row set of one model — legitimately share one cache; this is what
-    /// lets a long-running server keep a single warm cache per model
-    /// family across jobs.
-    ///
-    /// The engine must have been built for the same model (checked
-    /// against the layer table at [`HwProblemBuilder::build`]).
-    pub fn shared_engine(mut self, engine: Arc<EvalEngine>) -> Self {
-        self.shared_engine = Some(engine);
-        self
-    }
-
     /// Finalizes the problem, measuring `C_max` and deriving the budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a [`shared engine`](HwProblemBuilder::shared_engine) was
-    /// built for a different layer table than this builder's model.
     pub fn build(self) -> HwProblem {
-        let engine = match self.shared_engine {
-            Some(engine) => {
-                assert_eq!(
-                    engine.layers(),
-                    self.model.layers(),
-                    "shared engine was built for a different model"
-                );
-                engine
-            }
-            None => {
-                let threads = self.threads.unwrap_or_else(maestro::threads_from_env);
-                let mut engine = EvalEngine::with_threads(
-                    self.cost_model,
-                    self.model.layers().to_vec(),
-                    threads,
-                );
-                engine.set_cache_capacity(self.cache_capacity);
-                Arc::new(engine)
-            }
-        };
+        let engine = EvalEngine::new(self.cost_model, self.model.layers().to_vec());
         let c_max = HwProblem::measure_c_max(
             &engine,
             self.dataflow,
@@ -681,17 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluation_cache_fills_and_hits() {
-        let p = tiny_problem(PlatformClass::Unlimited);
-        let point = DesignPoint::new(4, 2).unwrap();
-        let a = p.evaluate_layer(0, Dataflow::NvdlaStyle, point);
-        let before = p.cache_len();
-        let b = p.evaluate_layer(0, Dataflow::NvdlaStyle, point);
-        assert_eq!(a, b);
-        assert_eq!(p.cache_len(), before);
-    }
-
-    #[test]
     fn ls_constraint_is_worst_layer_not_sum() {
         let p = HwProblem::builder(dnn_models::tiny_cnn())
             .deployment(Deployment::LayerSequential)
@@ -722,39 +587,30 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_one_cache() {
+    fn repeated_evaluation_is_priced_afresh() {
+        let p = tiny_problem(PlatformClass::Unlimited);
+        let point = DesignPoint::new(4, 2).unwrap();
+        let before = p.eval_stats();
+        let a = p.evaluate_layer(0, Dataflow::NvdlaStyle, point);
+        let b = p.evaluate_layer(0, Dataflow::NvdlaStyle, point);
+        assert_eq!(a, b);
+        // No memo: each singleton is one kernel evaluation, one miss.
+        let delta = p.eval_stats().since(before);
+        assert_eq!((delta.hits, delta.misses), (0, 2));
+    }
+
+    #[test]
+    fn clones_share_one_engine() {
         let p = tiny_problem(PlatformClass::Iot);
         let q = p.clone();
-        let before = p.cache_len();
+        let before = p.eval_stats();
         let point = DesignPoint::new(5, 3).unwrap();
-        q.evaluate_layer(0, Dataflow::EyerissStyle, point);
-        assert_eq!(p.cache_len(), before + 1, "clone must feed the same cache");
-    }
-
-    #[test]
-    fn shared_engine_spans_platforms_of_one_model() {
-        let iot = tiny_problem(PlatformClass::Iot);
-        let cloud = HwProblem::builder(dnn_models::tiny_cnn())
-            .objective(Objective::Energy)
-            .constraint(ConstraintKind::Power, PlatformClass::Cloud)
-            .shared_engine(iot.engine_handle())
-            .build();
-        let stats_before = iot.eval_stats();
-        let point = DesignPoint::new(4, 2).unwrap();
-        // Warm through one problem, hit through the other.
-        iot.evaluate_layer(1, Dataflow::NvdlaStyle, point);
-        cloud.evaluate_layer(1, Dataflow::NvdlaStyle, point);
-        let delta = iot.eval_stats().since(stats_before);
-        assert_eq!(delta.misses, 1, "second problem must reuse the memo");
-        assert_eq!(delta.hits, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different model")]
-    fn shared_engine_rejects_model_mismatch() {
-        let p = tiny_problem(PlatformClass::Iot);
-        HwProblem::builder(dnn_models::mobilenet_v2())
-            .shared_engine(p.engine_handle())
-            .build();
+        let a = q.evaluate_layer(0, Dataflow::EyerissStyle, point);
+        // The clone's query is counted on the original's engine.
+        let delta = p.eval_stats().since(before);
+        assert_eq!((delta.hits, delta.misses), (0, 1));
+        let b = p.evaluate_layer(0, Dataflow::EyerissStyle, point);
+        assert_eq!(a, b);
+        assert_eq!(q.eval_stats(), p.eval_stats());
     }
 }

@@ -134,8 +134,8 @@ pub struct RlSearchResult {
     pub wall_time: Duration,
     /// Trainable scalar parameters (0 for classical baselines).
     pub param_count: usize,
-    /// Evaluation-engine counters for this run (cache hits vs. fresh
-    /// cost-model evaluations), so speedups are measurable per method.
+    /// Evaluation-engine counters for this run (in-batch copies vs.
+    /// computed reports), so pricing work is measurable per method.
     pub eval_stats: EvalStats,
 }
 
@@ -242,9 +242,8 @@ pub fn run_rl_search_with_reward(
 ///
 /// Determinism contract: replica `i` is driven by its own RNG stream
 /// derived from `seed`, so the result is a pure function of
-/// `(seed, n_envs)` — independent of `CONFX_THREADS` — and `n_envs = 1`
-/// is **bit-identical** to [`run_rl_search`] (asserted in
-/// `tests/seeded_determinism.rs`). The epoch budget is spent exactly:
+/// `(seed, n_envs)`, and `n_envs = 1` is **bit-identical** to
+/// [`run_rl_search`] (asserted in `tests/seeded_determinism.rs`). The epoch budget is spent exactly:
 /// a final partial round runs with fewer live replicas if `epochs` is
 /// not a multiple of `n_envs`.
 pub fn run_rl_search_vec(
@@ -1182,10 +1181,9 @@ enum RunnerStage {
 /// resuming from the saved state, even in a new process) does not change
 /// the result: best assignments, traces, and the determinism digest are
 /// bit-identical to the uninterrupted run. Wall time and evaluation-engine
-/// counters are accumulated across the segments of a resumed run, so a
-/// same-process kill-and-resume reproduces those too; across processes the
-/// engine cache is cold unless the caller also persists it
-/// (`HwProblem::save_cache` / `load_cache`), which restores the hit rates.
+/// counters are accumulated across the segments of a resumed run; the
+/// counters of each step depend only on that step's queries, so a resumed
+/// run reproduces them too, on the same problem or a fresh one.
 ///
 /// One [`TwoStageRunner::step`] is one unit of stage work: a vectorized
 /// rollout round (`min(n_envs, epochs remaining)` epochs) during stage 1,
@@ -1554,8 +1552,7 @@ mod tests {
 
         // Same search, killed after 5 global epochs. The checkpoint goes
         // through JSON text (as a file would) and the resumed runner picks
-        // up on the same problem instance, whose cache is warm exactly as
-        // the uninterrupted run's would be at that point.
+        // up on the same problem instance.
         let problem = tiny_problem();
         let mut runner = TwoStageRunner::new(&problem, &cfg, 19);
         for _ in 0..5 {

@@ -3,18 +3,17 @@
 //! [`EvalEngine`](maestro) batch.
 //!
 //! This is what lets the paper's *main loop* — the Stage-1 RL search —
-//! scale with cores the way the batched GA/grid/random baselines already
+//! price its queries the way the batched GA/grid/random baselines already
 //! do: a synchronized step of N replicas prices its queries through
 //! [`HwProblem::evaluate_layer_batch`] (Layer-Pipelined) or
-//! [`HwProblem::evaluate_ls_batch`] (Layer-Sequential), so cache misses
-//! fan out over the `CONFX_THREADS` worker pool and duplicates across
-//! replicas are deduplicated before any model run.
+//! [`HwProblem::evaluate_ls_batch`] (Layer-Sequential), one kernel call in
+//! which queries shared across replicas are priced once.
 //!
-//! Determinism: pre-batching only *warms the memo cache*; every replica
-//! then steps through the exact same serial [`HwEnv::step`] code and reads
-//! the memoized reports, which are bit-identical to fresh evaluations. A
-//! single-replica `VecHwEnv` never batches at all, so `n_envs = 1` is the
-//! serial path, operation for operation (including hit/miss counters).
+//! Determinism: the batch kernel is bit-identical to the scalar model, so
+//! every replica steps with exactly the reports a serial [`HwEnv::step`]
+//! would have computed. A single-replica `VecHwEnv` never batches at all,
+//! so `n_envs = 1` is the serial path, operation for operation (including
+//! hit/miss counters).
 
 use rl_core::{Step, VecEnv};
 
@@ -24,7 +23,7 @@ use crate::{Assignment, Deployment, HwEnv, HwProblem, RewardConfig};
 ///
 /// Each replica keeps its own episode state *and* its own cross-episode
 /// reward baseline (`P_min` in the paper's notation), so replicas are
-/// fully independent MDP instances; only the memo cache is shared.
+/// fully independent MDP instances; only the problem is shared.
 ///
 /// Like [`HwEnv`], the vectorized environment owns problem handles, so it
 /// is `'static` and can be moved into server worker threads.
@@ -95,8 +94,8 @@ impl VecHwEnv {
 
     /// Steps the live replicas through one fused engine batch: decode
     /// every live replica's action, price all the resulting cost queries
-    /// at once (misses fan out over the worker pool, duplicates across
-    /// replicas are deduplicated), then hand each replica its own report.
+    /// at once (duplicates across replicas are priced once), then hand
+    /// each replica its own report.
     /// Returns one `(replica, Step)` per live replica, in replica order.
     fn step_live_batched(&mut self, live: &[usize], actions: &[Vec<usize>]) -> Vec<(usize, Step)> {
         let las: Vec<_> = live
@@ -257,8 +256,8 @@ mod tests {
                 }
             }
             for (i, play) in plays.iter().enumerate() {
-                // Fresh problem so the serial run starts from a cold cache
-                // too — proving the batch prewarm changes no bits.
+                // A fresh problem for the serial reference, which prices
+                // every step on its own.
                 let fresh = problem(deployment);
                 assert_eq!(
                     vec_steps[i],

@@ -1,136 +1,34 @@
-//! Parallel, memoized cost-evaluation engine.
+//! Cost-evaluation engine: a fixed layer table in front of the batch
+//! pricing kernel.
 //!
 //! Every optimizer in the workspace — RL rollouts, the classical baselines,
-//! the local fine-tuning GA, and the table/figure binaries — is bottlenecked
-//! on [`CostModel::evaluate`] calls, and all of them revisit the same
-//! `(layer, dataflow, design point)` triples constantly. [`EvalEngine`]
-//! centralizes those queries behind the [`CostOracle`] trait and adds two
-//! orthogonal accelerations:
+//! the local fine-tuning GA, and the table/figure binaries — prices
+//! `(layer, dataflow, design point)` queries through the [`CostOracle`]
+//! trait. [`EvalEngine`] answers a batch with one
+//! [`CostModel::evaluate_batch_into`] call against the [`LayerInvariants`]
+//! it builds once at construction, and a singleton with the scalar
+//! [`CostModel::evaluate`]. The kernel is `to_bits`-identical to the scalar
+//! model and keeps no state between calls, so every answer is a pure
+//! function of its query and the engine holds nothing but its table and
+//! two counters.
 //!
-//! 1. **A sharded memo cache.** Results are keyed on the full query triple
-//!    (exact match, the same bit-exact semantics the golden-cost suite
-//!    freezes) and striped over [`SHARD_COUNT`] mutexes so concurrent
-//!    lookups rarely contend.
-//! 2. **A scoped worker pool.** [`CostOracle::evaluate_batch`] fans unique
-//!    cache misses out over `CONFX_THREADS` `std::thread` workers that pull
-//!    from a shared atomic work index (work stealing in its simplest form)
-//!    and send `(submission index, report)` pairs back over a channel; the
-//!    caller reassembles results *by submission index*, so the output order
-//!    — and therefore every downstream trace — is independent of thread
-//!    scheduling.
-//!
-//! The miss path itself — serial or per worker chunk — prices through the
-//! SoA batch kernel ([`CostModel::evaluate_batch_into`], bit-identical to
-//! the scalar model by construction), against a [`LayerInvariants`] table
-//! the engine builds once at construction. Only singleton
-//! [`CostOracle::evaluate_query`] misses still call the scalar
-//! [`CostModel::evaluate`] directly.
-//!
-//! Determinism is structural, not incidental: the cost model is a pure
-//! function, cache pre-pass and counter updates happen on the calling
-//! thread, and parallel workers only ever compute disjoint entries of the
-//! result vector. A batch evaluated with 8 threads is bit-identical to the
-//! same batch evaluated serially (the seeded-determinism suite enforces
-//! this end to end).
+//! Within one batch the kernel prices each distinct key once: a report is
+//! a pure function of `(dataflow, layer, clamped tile, num_pes)`, so
+//! duplicates — and queries that differ only in a tile above the layer's
+//! `K` — collapse to a copy. The counters record exactly that work; see
+//! [`EvalStats`].
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
 use crate::{BatchQueries, CostModel, CostReport, Dataflow, DesignPoint, Layer, LayerInvariants};
 
-/// FNV-1a hasher for the engine's query maps. An [`EvalQuery`] is a tiny
-/// fixed-shape key and the memo path sits next to ~60ns model runs, so the
-/// standard library's DoS-resistant SipHash costs more than the work it
-/// guards; FNV-1a hashes the same bytes in a fraction of the time and is
-/// just as deterministic.
-#[derive(Debug, Clone)]
-struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
-type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
-
-/// A query map keyed with the fast hasher.
-type QueryMap<V> = HashMap<EvalQuery, V, FnvBuildHasher>;
-
-/// Indices `0..shards.len()` grouped by shard id (counting sort; original
-/// order preserved within each group), so batch passes can take each
-/// stripe mutex once instead of once per query.
-struct ShardGroups {
-    order: Vec<usize>,
-    bounds: [(usize, usize); SHARD_COUNT],
-}
-
-fn group_by_shard(shards: &[u8]) -> ShardGroups {
-    let mut counts = [0usize; SHARD_COUNT];
-    for &s in shards {
-        counts[s as usize] += 1;
-    }
-    let mut bounds = [(0usize, 0usize); SHARD_COUNT];
-    let mut acc = 0;
-    for (s, &c) in counts.iter().enumerate() {
-        bounds[s] = (acc, acc + c);
-        acc += c;
-    }
-    let mut cursor: [usize; SHARD_COUNT] = std::array::from_fn(|s| bounds[s].0);
-    let mut order = vec![0usize; shards.len()];
-    for (idx, &s) in shards.iter().enumerate() {
-        order[cursor[s as usize]] = idx;
-        cursor[s as usize] += 1;
-    }
-    ShardGroups { order, bounds }
-}
-
-impl ShardGroups {
-    /// Yields each non-empty `(shard index, member indices)` group.
-    fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
-        self.bounds
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(lo, hi))| hi > lo)
-            .map(|(s, &(lo, hi))| (s, &self.order[lo..hi]))
-    }
-}
-
-/// Number of cache stripes. Contention, not capacity, sets this: 16 shards
-/// keep the expected number of workers per mutex below one for any thread
-/// count the engine will realistically run with.
-pub const SHARD_COUNT: usize = 16;
-
-/// Environment variable overriding the engine's worker count.
-pub const THREADS_ENV: &str = "CONFX_THREADS";
-
-/// Fewest pending (unique-miss) queries per worker that justify fanning a
-/// batch out over the scoped thread pool; below `workers *` this, spawn
-/// latency exceeds what the µs-scale evaluations save and the batch runs
-/// inline. Shared with [`EvalEngine::parallel_batch_target`] so batch
-/// *producers* can size their chunks to keep the pool reachable.
-const MIN_PENDING_PER_WORKER: usize = 256;
+/// Environment variable read by [`threads_from_env`].
+const THREADS_ENV: &str = "CONFX_THREADS";
 
 /// One cost query: a layer (by index into the engine's layer table), a
-/// dataflow style, and a design point. `Copy` and 32 bytes wide, so batches
-/// move through channels and caches cheaply.
+/// dataflow style, and a design point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct EvalQuery {
     /// Index into the layer table the engine was built with.
@@ -141,22 +39,20 @@ pub struct EvalQuery {
     pub point: DesignPoint,
 }
 
-/// Cache observability counters.
+/// Evaluation counters.
 ///
-/// The accounting is *evaluation-centric*: `misses` counts fresh
-/// [`CostModel::evaluate`] calls, `hits` counts queries served without one
-/// (from the memo cache, or from a duplicate earlier in the same batch).
-/// `hits + misses` therefore always equals the number of queries issued,
-/// and `misses` alone is the number of cost-model invocations.
+/// `misses` counts the reports the cost model actually computed: one per
+/// singleton query, and one per distinct key the kernel priced in a batch.
+/// `hits` counts the rest of each batch — queries answered with a copy of
+/// a report priced earlier in the same batch. `hits + misses` therefore
+/// always equals the number of queries issued, and both are pure functions
+/// of the queries, never of what ran before them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EvalStats {
-    /// Queries answered without running the cost model.
+    /// Queries answered with a copy of a report priced in the same batch.
     pub hits: u64,
-    /// Queries that ran the cost model (== fresh evaluations).
+    /// Reports the cost model computed.
     pub misses: u64,
-    /// Memoized entries dropped to stay within the cache capacity
-    /// (always 0 for an unbounded engine).
-    pub evictions: u64,
 }
 
 impl EvalStats {
@@ -165,7 +61,8 @@ impl EvalStats {
         self.hits + self.misses
     }
 
-    /// Fraction of queries served from the cache (0 when no queries ran).
+    /// Fraction of queries answered without a fresh computation (0 when
+    /// no queries ran).
     pub fn hit_rate(&self) -> f64 {
         if self.total() == 0 {
             0.0
@@ -180,7 +77,6 @@ impl EvalStats {
         EvalStats {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
         }
     }
 
@@ -189,7 +85,6 @@ impl EvalStats {
         EvalStats {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
-            evictions: self.evictions - earlier.evictions,
         }
     }
 }
@@ -197,8 +92,9 @@ impl EvalStats {
 /// A source of cost reports for `(layer, dataflow, design point)` queries.
 ///
 /// The trait is the seam between search code and the evaluation substrate:
-/// optimizers talk to a `CostOracle`, and whether answers come from a fresh
-/// model run, a memo cache, or a worker pool is the oracle's business.
+/// optimizers talk to a `CostOracle`, and how answers are produced is the
+/// oracle's business. A memoizing decorator for an expensive oracle would
+/// go here.
 pub trait CostOracle {
     /// Evaluates a single query.
     ///
@@ -223,556 +119,79 @@ pub trait CostOracle {
     fn stats(&self) -> EvalStats;
 }
 
-/// The engine's flat, order-preserving serialized cache image: every
-/// memoized `(query, report)` pair, shard by shard in insertion order.
-///
-/// This is the `SerializedMap ↔ Map` idiom: only the raw entries are
-/// persisted; the shard assignment and FNV indices are *derived* state and
-/// are rebuilt on load. The entry order is deterministic (shards in index
-/// order, entries in insertion order within each shard), so saving the same
-/// cache twice produces byte-identical text, and loading replays inserts in
-/// an order that reproduces the FIFO eviction queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SerializedCache {
-    /// Memoized entries, in deterministic shard-then-insertion order.
-    pub entries: Vec<(EvalQuery, CostReport)>,
-}
-
-impl SerializedCache {
-    /// Number of serialized entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries were captured.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Renders the cache as compact JSON-lines: one `[query, report]` pair
-    /// per line. Line-oriented output keeps huge caches diffable and lets a
-    /// reader stream entries without holding a second copy of the text.
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for entry in &self.entries {
-            out.push_str(&serde_json::to_string(entry).expect("cache entries serialize"));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses JSON-lines text produced by [`Self::to_json_lines`]. Blank
-    /// lines are ignored; any malformed line is an error.
-    pub fn from_json_lines(text: &str) -> Result<Self, serde_json::Error> {
-        let (cache, dropped) = Self::from_json_lines_prefix(text);
-        match dropped {
-            None => Ok(cache),
-            Some((_, err)) => Err(err),
-        }
-    }
-
-    /// Tolerant variant of [`Self::from_json_lines`]: parses the longest
-    /// valid prefix and stops at the first malformed line instead of
-    /// erroring. A torn or partial write only ever damages the tail of an
-    /// append-ordered JSON-lines file, so everything before the first bad
-    /// line is a complete, trustworthy cache image. Returns the salvaged
-    /// prefix plus `Some((lines_dropped, error))` when anything was cut,
-    /// where `lines_dropped` counts the non-blank lines discarded.
-    pub fn from_json_lines_prefix(text: &str) -> (Self, Option<(usize, serde_json::Error)>) {
-        let mut entries = Vec::new();
-        let mut lines = text.lines();
-        for line in lines.by_ref() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<(EvalQuery, CostReport)>(line) {
-                Ok(entry) => entries.push(entry),
-                Err(err) => {
-                    let dropped = 1 + lines.filter(|l| !l.trim().is_empty()).count();
-                    return (SerializedCache { entries }, Some((dropped, err)));
-                }
-            }
-        }
-        (SerializedCache { entries }, None)
-    }
-}
-
-/// What a tolerant sidecar load recovered; see
-/// [`EvalEngine::load_cache_file_salvaging`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CacheLoad {
-    /// The file parsed end to end; all entries are now in the cache.
-    Clean {
-        /// Entries loaded into the cache.
-        entries: usize,
-    },
-    /// The file was corrupt: the valid prefix was loaded, the original
-    /// file was renamed to `<name>.corrupt`, and the cache continues from
-    /// whatever survived.
-    Salvaged {
-        /// Entries recovered from the valid prefix.
-        entries: usize,
-        /// Non-blank lines discarded from the first malformed line on.
-        lines_dropped: usize,
-        /// Where the corrupt original was quarantined.
-        quarantined: std::path::PathBuf,
-    },
-}
-
-/// One cache stripe: the memo map plus its keys in insertion order. The
-/// order queue is what makes both serialization and FIFO eviction
-/// deterministic — `HashMap` iteration order is an implementation detail,
-/// the queue is not.
-#[derive(Debug, Default)]
-struct Shard {
-    map: QueryMap<CostReport>,
-    order: VecDeque<EvalQuery>,
-}
-
-impl Shard {
-    /// Inserts an entry, evicting oldest-first entries beyond `capacity`
-    /// (`None` = unbounded). Returns how many entries were evicted.
-    fn insert(&mut self, query: EvalQuery, report: CostReport, capacity: Option<usize>) -> u64 {
-        if self.map.insert(query, report).is_none() {
-            self.order.push_back(query);
-        }
-        let mut evicted = 0;
-        if let Some(cap) = capacity {
-            while self.map.len() > cap {
-                let oldest = self
-                    .order
-                    .pop_front()
-                    .expect("order queue tracks every map entry");
-                self.map.remove(&oldest);
-                evicted += 1;
-            }
-        }
-        evicted
-    }
-}
-
-/// The workspace's shared evaluation engine: memo cache + worker pool over
-/// one [`CostModel`] and a fixed layer table. See the module docs for the
-/// determinism argument.
+/// The workspace's evaluation engine: one [`CostModel`], the
+/// [`LayerInvariants`] of a fixed layer table, and the counters.
 #[derive(Debug)]
 pub struct EvalEngine {
     model: CostModel,
-    layers: Vec<Layer>,
-    /// Per-layer precomputed constants for the batch pricing kernel; built
-    /// once at construction so every miss batch skips the per-query layer
-    /// arithmetic.
+    /// The layer table with its per-layer kernel constants, built once so
+    /// no batch repeats the per-layer arithmetic.
     invariants: LayerInvariants,
-    threads: usize,
-    shards: Vec<Mutex<Shard>>,
-    /// Max memoized entries across all shards (`None` = unbounded). The
-    /// budget is split evenly: each shard keeps at most
-    /// `capacity.div_ceil(SHARD_COUNT)` entries and evicts oldest-first
-    /// beyond that, so eviction depends only on the (deterministic) insert
-    /// order, never on thread scheduling.
-    cache_capacity: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl EvalEngine {
-    /// Creates an engine with the worker count resolved from
-    /// `CONFX_THREADS` (falling back to the machine's available
-    /// parallelism, capped at 8).
+    /// Creates an engine over `layers`; queries index into this table.
     pub fn new(model: CostModel, layers: Vec<Layer>) -> Self {
-        Self::with_threads(model, layers, threads_from_env())
-    }
-
-    /// Creates an engine with an explicit worker count (`0` is treated as
-    /// `1`). Tests use this to compare thread counts in-process.
-    pub fn with_threads(model: CostModel, layers: Vec<Layer>, threads: usize) -> Self {
         EvalEngine {
             invariants: LayerInvariants::new(&layers),
             model,
-            layers,
-            threads: threads.max(1),
-            shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
-            cache_capacity: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
-    /// Bounds the memo cache to at most `capacity` entries (`None` restores
-    /// the unbounded default). Entries beyond the per-shard budget are
-    /// evicted oldest-first; see [`EvalStats::evictions`].
-    pub fn set_cache_capacity(&mut self, capacity: Option<usize>) {
-        self.cache_capacity = capacity;
-        if let Some(cap) = self.per_shard_capacity() {
-            let mut evicted = 0;
-            for shard in &self.shards {
-                let mut shard = lock_recovering(shard);
-                while shard.map.len() > cap {
-                    let oldest = shard
-                        .order
-                        .pop_front()
-                        .expect("order queue tracks every map entry");
-                    shard.map.remove(&oldest);
-                    evicted += 1;
-                }
-            }
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-    }
-
-    /// The configured cache bound, if any.
-    pub fn cache_capacity(&self) -> Option<usize> {
-        self.cache_capacity
-    }
-
-    fn per_shard_capacity(&self) -> Option<usize> {
-        self.cache_capacity
-            .map(|cap| cap.div_ceil(SHARD_COUNT).max(1))
-    }
-
-    /// The cost model being memoized.
+    /// The cost model queries are priced with.
     pub fn cost_model(&self) -> &CostModel {
         &self.model
     }
 
     /// The layer table queries index into.
     pub fn layers(&self) -> &[Layer] {
-        &self.layers
-    }
-
-    /// Worker threads used for batch misses.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Smallest batch size at which an all-miss batch engages the full
-    /// worker pool (`0` when the engine is single-threaded). Batch
-    /// producers that split their work into chunks — e.g.
-    /// `HwProblem::evaluate_lp_batch` keeping its transient buffers
-    /// cache-resident — must not chunk below this, or the pool becomes
-    /// unreachable from their path.
-    pub fn parallel_batch_target(&self) -> usize {
-        if self.threads > 1 {
-            self.threads * MIN_PENDING_PER_WORKER
-        } else {
-            0
-        }
-    }
-
-    /// Number of distinct memoized queries across all shards.
-    pub fn cache_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_recovering(s).map.len())
-            .sum()
-    }
-
-    /// Captures the memo cache as a flat [`SerializedCache`] image (shards
-    /// in index order, entries in insertion order within each shard).
-    pub fn to_serialized(&self) -> SerializedCache {
-        let mut entries = Vec::with_capacity(self.cache_len());
-        for shard in &self.shards {
-            let shard = lock_recovering(shard);
-            for query in &shard.order {
-                let report = shard
-                    .map
-                    .get(query)
-                    .expect("order queue tracks every map entry")
-                    .clone();
-                entries.push((*query, report));
-            }
-        }
-        SerializedCache { entries }
-    }
-
-    /// Replays a [`SerializedCache`] image into the memo cache, rebuilding
-    /// shard assignment and FNV indices from scratch (they are derived
-    /// state and are never persisted). Later duplicates overwrite earlier
-    /// ones, and the configured capacity bound still applies, so loading is
-    /// exactly a sequence of ordinary inserts.
-    pub fn load_serialized(&self, cache: &SerializedCache) {
-        let mut evicted = 0;
-        let capacity = self.per_shard_capacity();
-        for (query, report) in &cache.entries {
-            let mut shard = lock_recovering(&self.shards[self.shard_of(query)]);
-            evicted += shard.insert(*query, report.clone(), capacity);
-        }
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-    }
-
-    /// Writes the memo cache to `path` as JSON lines, creating parent
-    /// directories as needed. The sidecar lets a later process — or a
-    /// restarted server — rebuild a warm cache with
-    /// [`EvalEngine::load_cache_file`].
-    pub fn save_cache_file(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_serialized().to_json_lines())
-    }
-
-    /// Loads a sidecar written by [`EvalEngine::save_cache_file`],
-    /// returning the number of entries in the file. Parse failures map to
-    /// [`std::io::ErrorKind::InvalidData`]. Entries are only meaningful
-    /// for the same layer table and cost model the file was saved under.
-    pub fn load_cache_file(&self, path: &std::path::Path) -> std::io::Result<usize> {
-        let text = std::fs::read_to_string(path)?;
-        let cache = SerializedCache::from_json_lines(&text).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("bad cache file: {e:?}"),
-            )
-        })?;
-        let n = cache.len();
-        self.load_serialized(&cache);
-        Ok(n)
-    }
-
-    /// Tolerant counterpart of [`EvalEngine::load_cache_file`] for daemon
-    /// startup: a corrupt sidecar must never prevent serving. The valid
-    /// JSON-lines prefix is loaded into the cache, the damaged file is
-    /// quarantined by renaming it to `<name>.corrupt` (preserved for
-    /// inspection, and out of the way so the next flush writes a clean
-    /// file), and the load reports what happened instead of erroring.
-    /// Only genuine I/O failures (permissions, not-found) still `Err`.
-    pub fn load_cache_file_salvaging(&self, path: &std::path::Path) -> std::io::Result<CacheLoad> {
-        let text = std::fs::read_to_string(path)?;
-        let (cache, damage) = SerializedCache::from_json_lines_prefix(&text);
-        let entries = cache.len();
-        self.load_serialized(&cache);
-        match damage {
-            None => Ok(CacheLoad::Clean { entries }),
-            Some((lines_dropped, _err)) => {
-                let mut quarantined = path.as_os_str().to_owned();
-                quarantined.push(".corrupt");
-                let quarantined = std::path::PathBuf::from(quarantined);
-                std::fs::rename(path, &quarantined)?;
-                Ok(CacheLoad::Salvaged {
-                    entries,
-                    lines_dropped,
-                    quarantined,
-                })
-            }
-        }
-    }
-
-    fn shard_of(&self, query: &EvalQuery) -> usize {
-        let mut h = FnvHasher::default();
-        query.hash(&mut h);
-        (h.finish() as usize) % SHARD_COUNT
-    }
-
-    fn cache_get(&self, query: &EvalQuery) -> Option<CostReport> {
-        lock_recovering(&self.shards[self.shard_of(query)])
-            .map
-            .get(query)
-            .cloned()
-    }
-
-    fn cache_insert(&self, query: EvalQuery, report: CostReport) {
-        let capacity = self.per_shard_capacity();
-        let evicted =
-            lock_recovering(&self.shards[self.shard_of(&query)]).insert(query, report, capacity);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-    }
-
-    /// Runs the cost model directly, bypassing the cache and counters.
-    fn evaluate_uncached(&self, query: &EvalQuery) -> CostReport {
-        let layer = &self.layers[query.layer];
-        self.model.evaluate(layer, query.dataflow, query.point)
-    }
-
-    /// Evaluates the deduplicated miss list through the batch pricing
-    /// kernel ([`CostModel::evaluate_batch_into`]), in parallel when it
-    /// pays.
-    ///
-    /// The miss list is repacked into the kernel's struct-of-arrays form
-    /// once; workers claim fixed-size chunks from a shared atomic counter,
-    /// price each chunk with one kernel call, and ship `(start, reports)`
-    /// back over a channel. Reassembly by chunk start on the calling thread
-    /// makes the result order scheduling-independent, and the kernel itself
-    /// is bit-identical to the scalar oracle, so chunk boundaries cannot
-    /// affect results either.
-    fn evaluate_pending(&self, pending: &[EvalQuery]) -> Vec<CostReport> {
-        if pending.is_empty() {
-            return Vec::new();
-        }
-        let layer_ids: Vec<usize> = pending.iter().map(|q| q.layer).collect();
-        let dataflows: Vec<Dataflow> = pending.iter().map(|q| q.dataflow).collect();
-        let points: Vec<DesignPoint> = pending.iter().map(|q| q.point).collect();
-        let queries = BatchQueries {
-            layers: &layer_ids,
-            dataflows: &dataflows,
-            points: &points,
-        };
-        let mut out = vec![CostReport::default(); pending.len()];
-        // Small batches — e.g. one synchronized step of a few vectorized
-        // RL replicas — run inline instead of paying more in spawn latency
-        // than the whole batch costs (see [`MIN_PENDING_PER_WORKER`]).
-        // Results are bit-identical either way; this is purely a
-        // scheduling choice.
-        let workers = self
-            .threads
-            .min(pending.len() / MIN_PENDING_PER_WORKER)
-            .max(1);
-        if workers <= 1 {
-            self.model
-                .evaluate_batch_into(&self.invariants, &queries, &mut out);
-            return out;
-        }
-        let chunk = MIN_PENDING_PER_WORKER;
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Vec<CostReport>)>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let queries = &queries;
-                scope.spawn(move || loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= pending.len() {
-                        break;
-                    }
-                    let end = (start + chunk).min(pending.len());
-                    let slice = BatchQueries {
-                        layers: &queries.layers[start..end],
-                        dataflows: &queries.dataflows[start..end],
-                        points: &queries.points[start..end],
-                    };
-                    let mut reports = vec![CostReport::default(); end - start];
-                    self.model
-                        .evaluate_batch_into(&self.invariants, &slice, &mut reports);
-                    if tx.send((start, reports)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            for (start, reports) in rx {
-                out[start..start + reports.len()].clone_from_slice(&reports);
-            }
-        });
-        out
+        self.invariants.layers()
     }
 }
 
 impl CostOracle for EvalEngine {
     fn evaluate_query(&self, query: EvalQuery) -> CostReport {
-        if let Some(report) = self.cache_get(&query) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return report;
-        }
-        let report = self.evaluate_uncached(&query);
+        let layer = &self.layers()[query.layer];
+        let report = self.model.evaluate(layer, query.dataflow, query.point);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.cache_insert(query, report.clone());
         report
     }
 
     fn evaluate_batch(&self, queries: &[EvalQuery]) -> Vec<CostReport> {
-        let n = queries.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Route every query to its cache stripe up front (one hash each)
-        // and visit slots grouped by stripe, so each stripe mutex is taken
-        // once per batch instead of once per query — on the vectorized-RL
-        // and GA batch shapes the per-query lock traffic otherwise rivals
-        // the cost-model work itself.
-        let shard_of: Vec<u8> = queries.iter().map(|q| self.shard_of(q) as u8).collect();
-        let grouped = group_by_shard(&shard_of);
-        // Pass 1: resolve cache hits stripe by stripe; collect miss slots.
-        // Results go straight into the output vector (placeholder-filled,
-        // no `Option` wrapper or final repack pass): every slot is either
-        // written here as a hit or listed in `miss_slots` and written from
-        // `fresh` below.
-        let mut results: Vec<CostReport> = vec![CostReport::default(); n];
-        let mut miss_slots: Vec<usize> = Vec::new();
-        let mut cache_hits = 0u64;
-        for (shard_idx, slots) in grouped.iter() {
-            let shard = lock_recovering(&self.shards[shard_idx]);
-            for &slot in slots {
-                if let Some(report) = shard.map.get(&queries[slot]) {
-                    results[slot] = report.clone();
-                    cache_hits += 1;
-                } else {
-                    miss_slots.push(slot);
-                }
-            }
-        }
-        // Deduplicate the misses (only misses pay for the index),
-        // remembering which result slots each unique miss feeds.
-        let mut pending: Vec<EvalQuery> = Vec::new();
-        let mut pending_shard: Vec<u8> = Vec::new();
-        let mut pending_index: QueryMap<usize> =
-            QueryMap::with_capacity_and_hasher(miss_slots.len(), FnvBuildHasher::default());
-        let mut waiting: Vec<(usize, usize)> = Vec::with_capacity(miss_slots.len());
-        for slot in miss_slots {
-            let pi = *pending_index.entry(queries[slot]).or_insert_with(|| {
-                pending.push(queries[slot]);
-                pending_shard.push(shard_of[slot]);
-                pending.len() - 1
-            });
-            waiting.push((slot, pi));
-        }
-        // Pass 2 (worker pool): evaluate each unique miss exactly once.
-        let fresh = self.evaluate_pending(&pending);
-        // Duplicates of an in-batch miss are served without a model run, so
-        // they count as hits; `misses` stays equal to fresh evaluations.
-        let dup_hits = (waiting.len() - pending.len()) as u64;
+        let layers: Vec<usize> = queries.iter().map(|q| q.layer).collect();
+        let dataflows: Vec<Dataflow> = queries.iter().map(|q| q.dataflow).collect();
+        let points: Vec<DesignPoint> = queries.iter().map(|q| q.point).collect();
+        let mut out = vec![CostReport::default(); queries.len()];
+        let priced = self.model.evaluate_batch_into(
+            &self.invariants,
+            &BatchQueries {
+                layers: &layers,
+                dataflows: &dataflows,
+                points: &points,
+            },
+            &mut out,
+        );
+        self.misses.fetch_add(priced as u64, Ordering::Relaxed);
         self.hits
-            .fetch_add(cache_hits + dup_hits, Ordering::Relaxed);
-        self.misses
-            .fetch_add(pending.len() as u64, Ordering::Relaxed);
-        // Pass 3: memoize the fresh reports, again one stripe lock each.
-        let capacity = self.per_shard_capacity();
-        let mut evicted = 0;
-        for (shard_idx, entries) in group_by_shard(&pending_shard).iter() {
-            let mut shard = lock_recovering(&self.shards[shard_idx]);
-            for &pi in entries {
-                evicted += shard.insert(pending[pi], fresh[pi].clone(), capacity);
-            }
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        for (slot, pi) in waiting {
-            results[slot] = fresh[pi].clone();
-        }
-        results
+            .fetch_add((queries.len() - priced) as u64, Ordering::Relaxed);
+        out
     }
 
     fn stats(&self) -> EvalStats {
         EvalStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Locks a mutex, recovering from poisoning. Poisoning only records that
-/// *some* thread panicked while holding the guard — for state that is
-/// written atomically under the lock (cache shards, job registries, event
-/// rings) the data is still valid, and propagating the poison would punish
-/// every surviving thread for a bug that already unwound. Originally the
-/// engine's cache-shard lock (which used to `.expect("cache shard lock")`
-/// and so panicked every later evaluation); now the shared locking idiom
-/// for the whole service stack.
-pub fn lock_recovering<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Resolves the worker count: `CONFX_THREADS` if set and positive, else the
-/// machine's available parallelism capped at 8 (cost evaluations are
-/// microsecond-scale, so more workers than that just pay scheduling tax).
+/// `CONFX_THREADS` if set and positive, else the machine's available
+/// parallelism capped at 8. The engine runs on the calling thread; this
+/// only resolves the value for callers that record it.
 pub fn threads_from_env() -> usize {
     if let Ok(v) = std::env::var(THREADS_ENV) {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -808,16 +227,12 @@ mod tests {
     }
 
     fn stats(hits: u64, misses: u64) -> EvalStats {
-        EvalStats {
-            hits,
-            misses,
-            evictions: 0,
-        }
+        EvalStats { hits, misses }
     }
 
     #[test]
     fn batch_matches_direct_model_evaluation() {
-        let engine = EvalEngine::with_threads(CostModel::default(), layers(), 4);
+        let engine = EvalEngine::new(CostModel::default(), layers());
         let queries = vec![
             q(0, Dataflow::NvdlaStyle, 16, 4),
             q(1, Dataflow::EyerissStyle, 64, 2),
@@ -835,50 +250,42 @@ mod tests {
     }
 
     #[test]
-    fn thread_counts_produce_identical_batches() {
-        let queries: Vec<EvalQuery> = (0..60)
-            .map(|i| {
-                q(
-                    i % 3,
-                    Dataflow::ALL[i % Dataflow::ALL.len()],
-                    1 + (i as u64 * 7) % 512,
-                    1 + (i as u64 * 3) % 24,
-                )
-            })
-            .collect();
-        let serial = EvalEngine::with_threads(CostModel::default(), layers(), 1);
-        let reference = serial.evaluate_batch(&queries);
-        for threads in [2, 4, 8] {
-            let engine = EvalEngine::with_threads(CostModel::default(), layers(), threads);
-            let parallel = engine.evaluate_batch(&queries);
-            assert_eq!(reference, parallel, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn singleton_and_batch_paths_share_the_cache() {
-        let engine = EvalEngine::with_threads(CostModel::default(), layers(), 2);
-        let query = q(1, Dataflow::NvdlaStyle, 32, 2);
-        let a = engine.evaluate_query(query);
-        let b = engine.evaluate_batch(&[query]);
-        assert_eq!(a, b[0]);
-        assert_eq!(engine.cache_len(), 1);
-        assert_eq!(engine.stats(), stats(1, 1));
-    }
-
-    #[test]
     fn stats_account_for_every_query() {
-        let engine = EvalEngine::with_threads(CostModel::default(), layers(), 1);
+        let engine = EvalEngine::new(CostModel::default(), layers());
         let a = q(0, Dataflow::NvdlaStyle, 8, 2);
         let b = q(2, Dataflow::EyerissStyle, 8, 2);
-        // a is missed once, duplicated in-batch (hit), b missed.
+        // a is priced once and copied for its in-batch duplicate; b priced.
         engine.evaluate_batch(&[a, a, b]);
         assert_eq!(engine.stats(), stats(1, 2));
-        // Everything now cached.
+        // Nothing carries over between batches: a repeat prices both again.
         engine.evaluate_batch(&[a, b, a]);
-        assert_eq!(engine.stats(), stats(4, 2));
+        assert_eq!(engine.stats(), stats(2, 4));
         assert_eq!(engine.stats().total(), 6);
-        assert!((engine.stats().hit_rate() - 4.0 / 6.0).abs() < 1e-12);
+        assert!((engine.stats().hit_rate() - 2.0 / 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn counters_pin_duplicates_clamped_tiles_and_singletons() {
+        let engine = EvalEngine::new(CostModel::default(), layers());
+        // Layer 0 has K = 64, so tiles 64, 100 and 4096 all clamp to 64 and
+        // price as one key.
+        let queries = [
+            q(0, Dataflow::NvdlaStyle, 16, 64),
+            q(0, Dataflow::NvdlaStyle, 16, 100),
+            q(0, Dataflow::NvdlaStyle, 16, 4096),
+            q(0, Dataflow::NvdlaStyle, 16, 4),
+            q(0, Dataflow::EyerissStyle, 16, 100),
+            q(0, Dataflow::NvdlaStyle, 16, 4),
+        ];
+        let reports = engine.evaluate_batch(&queries);
+        assert_eq!(engine.stats(), stats(3, 3));
+        assert_eq!(engine.stats().total(), queries.len() as u64);
+        assert_eq!(reports[0], reports[1]);
+        assert_eq!(reports[0], reports[2]);
+        // A singleton is one miss, whatever ran before it, and agrees with
+        // the batch path.
+        assert_eq!(engine.evaluate_query(queries[1]), reports[1]);
+        assert_eq!(engine.stats(), stats(3, 4));
     }
 
     #[test]
@@ -891,105 +298,16 @@ mod tests {
     #[test]
     #[should_panic]
     fn out_of_range_layer_panics() {
-        let engine = EvalEngine::with_threads(CostModel::default(), layers(), 1);
+        let engine = EvalEngine::new(CostModel::default(), layers());
         engine.evaluate_query(q(99, Dataflow::NvdlaStyle, 1, 1));
     }
 
     #[test]
-    fn engine_survives_a_panicking_batch_and_a_poisoned_shard() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-
-        let engine = EvalEngine::with_threads(CostModel::default(), layers(), 1);
-        let good = q(0, Dataflow::NvdlaStyle, 16, 4);
-        // A batch that panics mid-flight (out-of-range layer index).
-        let panicked = catch_unwind(AssertUnwindSafe(|| {
-            engine.evaluate_batch(&[good, q(99, Dataflow::NvdlaStyle, 1, 1)]);
-        }));
-        assert!(panicked.is_err());
-        // Poison a shard outright: panic while holding its guard, the way a
-        // cost-model panic inside a locked pass would.
-        let poisoned = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = engine.shards[0].lock().unwrap();
-            panic!("boom while holding the shard lock");
-        }));
-        assert!(poisoned.is_err());
-        assert!(engine.shards[0].is_poisoned());
-        // The engine must keep serving: entries are pure-function results,
-        // valid after any unwinding.
-        let direct = CostModel::default().evaluate(&layers()[0], good.dataflow, good.point);
-        assert_eq!(engine.evaluate_query(good), direct);
-        assert_eq!(
-            engine.evaluate_batch(&[good, good]),
-            vec![direct.clone(), direct]
-        );
-        assert!(engine.cache_len() >= 1);
-    }
-
-    #[test]
-    fn bounded_cache_evicts_oldest_first_and_counts_it() {
-        let mut engine = EvalEngine::with_threads(CostModel::default(), layers(), 1);
-        // One entry per shard at most: per-shard budget 1.
-        engine.set_cache_capacity(Some(SHARD_COUNT));
-        // Two queries landing in the same shard force an eviction.
-        let all: Vec<EvalQuery> = (1..64).map(|i| q(0, Dataflow::NvdlaStyle, i, 1)).collect();
-        let (first, second) = {
-            let mut pairs = None;
-            'outer: for (i, a) in all.iter().enumerate() {
-                for b in &all[i + 1..] {
-                    if engine.shard_of(a) == engine.shard_of(b) {
-                        pairs = Some((*a, *b));
-                        break 'outer;
-                    }
-                }
-            }
-            pairs.expect("64 queries over 16 shards must collide")
-        };
-        engine.evaluate_query(first);
-        engine.evaluate_query(second);
-        assert_eq!(engine.stats().evictions, 1);
-        // `first` was evicted, so it re-misses; `second` survived.
-        assert!(engine.cache_get(&first).is_none());
-        assert!(engine.cache_get(&second).is_some());
-        // Shrinking capacity trims overfull shards immediately.
-        let unbounded = EvalEngine::with_threads(CostModel::default(), layers(), 1);
-        for &query in &all {
-            unbounded.evaluate_query(query);
-        }
-        assert!(unbounded.cache_len() > SHARD_COUNT);
-        let mut bounded = unbounded;
-        bounded.set_cache_capacity(Some(SHARD_COUNT));
-        assert!(bounded.cache_len() <= SHARD_COUNT);
-        assert!(bounded.stats().evictions > 0);
-    }
-
-    #[test]
-    fn serialized_cache_round_trips_through_json_lines() {
-        let engine = EvalEngine::with_threads(CostModel::default(), layers(), 2);
-        let queries: Vec<EvalQuery> = (0..40)
-            .map(|i| {
-                q(
-                    i % 3,
-                    Dataflow::ALL[i % Dataflow::ALL.len()],
-                    1 + (i as u64 * 11) % 256,
-                    1 + (i as u64 * 5) % 16,
-                )
-            })
-            .collect();
-        engine.evaluate_batch(&queries);
-        let image = engine.to_serialized();
-        assert_eq!(image.len(), engine.cache_len());
-        let text = image.to_json_lines();
-        let parsed = SerializedCache::from_json_lines(&text).unwrap();
-        assert_eq!(parsed, image);
-        // Loading into a fresh engine reproduces every lookup and serves
-        // the whole batch without a single model run.
-        let warm = EvalEngine::with_threads(CostModel::default(), layers(), 2);
-        warm.load_serialized(&parsed);
-        assert_eq!(warm.cache_len(), engine.cache_len());
-        assert_eq!(warm.to_serialized(), image);
-        let before = warm.stats();
-        let reports = warm.evaluate_batch(&queries);
-        assert_eq!(reports, engine.evaluate_batch(&queries));
-        assert_eq!(warm.stats().since(before).misses, 0);
+    fn stats_from_older_checkpoints_still_load() {
+        // Checkpoints written while the engine kept a memo cache carry a
+        // third counter; fields are looked up by name, so extra ones are
+        // ignored.
+        let old: EvalStats = serde_json::from_str(r#"{"hits":5,"misses":3,"dropped":0}"#).unwrap();
+        assert_eq!(old, stats(5, 3));
     }
 }

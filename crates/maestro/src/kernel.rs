@@ -37,8 +37,7 @@
 //! both enforce.
 //!
 //! Memo tables live on the stack of each call (no locks, no shared state),
-//! so concurrent batch calls — e.g. the engine's worker pool pricing
-//! disjoint chunks — stay deterministic and contention-free.
+//! so a batch's answers depend on nothing but its own queries.
 
 use crate::estimate::{compute_cycles_from, l1_access_factor, LayerNums, MappingNums};
 use crate::{CostModel, CostReport, Dataflow, DesignPoint, Layer, SpatialMapping};
@@ -82,8 +81,7 @@ impl LayerInvariants {
 
 /// A batch of cost queries in struct-of-arrays form: three parallel slices,
 /// one element per query. Callers that already keep their queries columnar
-/// (the engine's miss list, a GA population) borrow straight into this with
-/// no per-query repacking.
+/// borrow straight into this with no per-query repacking.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchQueries<'a> {
     /// Per-query index into the [`LayerInvariants`] table.
@@ -126,7 +124,9 @@ struct TileEntry {
 
 impl CostModel {
     /// Prices `queries` into `out`, one [`CostReport`] per query, written at
-    /// the query's own index.
+    /// the query's own index, and returns how many distinct keys it priced
+    /// (queries that share a `(dataflow, layer, clamped tile, num_pes)` key
+    /// are priced once and copied).
     ///
     /// Bit-identical to calling [`CostModel::evaluate`] per query (see the
     /// module docs for why), just much faster on batches that revisit
@@ -141,7 +141,7 @@ impl CostModel {
         invariants: &LayerInvariants,
         queries: &BatchQueries<'_>,
         out: &mut [CostReport],
-    ) {
+    ) -> usize {
         let n = queries.layers.len();
         assert_eq!(n, queries.dataflows.len(), "SoA slices must be parallel");
         assert_eq!(n, queries.points.len(), "SoA slices must be parallel");
@@ -164,6 +164,7 @@ impl CostModel {
             rows[queries.dataflows[i].index()].push(i as u32);
         }
 
+        let mut priced = 0;
         for (df_idx, rows) in rows.iter().enumerate() {
             if rows.is_empty() {
                 continue;
@@ -253,7 +254,9 @@ impl CostModel {
                     idx = (idx + 1) & mask as usize;
                 }
             }
+            priced += keys.len();
         }
+        priced
     }
 
     /// Allocating convenience wrapper around
@@ -364,14 +367,17 @@ mod tests {
         let ls = vec![0usize; 64];
         let dfs = vec![Dataflow::EyerissStyle; 64];
         let pts = vec![DesignPoint::new(64, 4).unwrap(); 64];
-        let batch = model.evaluate_batch(
+        let mut batch = vec![CostReport::default(); 64];
+        let priced = model.evaluate_batch_into(
             &inv,
             &BatchQueries {
                 layers: &ls,
                 dataflows: &dfs,
                 points: &pts,
             },
+            &mut batch,
         );
+        assert_eq!(priced, 1, "64 copies of one query are one key");
         let scalar = model.evaluate(&layers[0], Dataflow::EyerissStyle, pts[0]);
         for (i, r) in batch.iter().enumerate() {
             assert_reports_bit_equal(&scalar, r, &format!("duplicate {i}"));

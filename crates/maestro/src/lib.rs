@@ -51,10 +51,7 @@ mod tech;
 
 pub use dataflow::Dataflow;
 pub use design::DesignPoint;
-pub use engine::{
-    lock_recovering, threads_from_env, CacheLoad, CostOracle, EvalEngine, EvalQuery, EvalStats,
-    SerializedCache, THREADS_ENV,
-};
+pub use engine::{threads_from_env, CostOracle, EvalEngine, EvalQuery, EvalStats};
 pub use error::MaestroError;
 pub use estimate::CostModel;
 pub use kernel::{BatchQueries, LayerInvariants};

@@ -1,12 +1,12 @@
-//! Memo-cache correctness for [`EvalEngine`]: whatever mix of duplicate,
-//! permuted, cached, and fresh queries a batch contains, the answers must
-//! be bit-identical to evaluating each query directly on a fresh
-//! [`CostModel`] — and the hit/miss counters must account for every query
-//! exactly.
+//! Batch correctness for [`EvalEngine`]: whatever mix of duplicate and
+//! permuted queries a batch contains, the answers must be bit-identical to
+//! evaluating each query directly on a fresh [`CostModel`] — and the
+//! hit/miss counters must account for every query exactly.
+
+use std::collections::HashSet;
 
 use maestro::{
     CostModel, CostOracle, Dataflow, DesignPoint, EvalEngine, EvalQuery, EvalStats, Layer,
-    SerializedCache,
 };
 use proptest::prelude::*;
 
@@ -29,18 +29,23 @@ fn arb_query() -> impl Strategy<Value = EvalQuery> {
     })
 }
 
+/// The key the batch kernel prices a query under: its tile is clamped to
+/// the layer's `K`, the same clamp the scalar model applies.
+fn kernel_key(table: &[Layer], q: &EvalQuery) -> (Dataflow, usize, u64, u64) {
+    let kt = q.point.tile().min(table[q.layer].k().max(1));
+    (q.dataflow, q.layer, kt, q.point.num_pes())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// A cached, possibly parallel `evaluate_batch` equals a fresh serial
-    /// evaluation of every query — including duplicates within the batch
-    /// and a permuted re-submission served entirely from the cache.
+    /// `evaluate_batch` equals a fresh serial evaluation of every query —
+    /// including duplicates within the batch and a permuted re-submission.
     #[test]
     fn cached_batch_equals_fresh_serial_evaluation(
         queries in proptest::collection::vec(arb_query(), 1..48),
-        threads in 1usize..5,
     ) {
-        let engine = EvalEngine::with_threads(CostModel::default(), layer_table(), threads);
+        let engine = EvalEngine::new(CostModel::default(), layer_table());
         let fresh_model = CostModel::default();
         let table = layer_table();
         let fresh = |q: &EvalQuery| fresh_model.evaluate(&table[q.layer], q.dataflow, q.point);
@@ -51,152 +56,46 @@ proptest! {
             prop_assert_eq!(report, &fresh(q));
         }
 
-        // Permuted re-submission: every answer must come from the cache
-        // (no new misses) and still match a fresh serial evaluation.
+        // Permuted re-submission: the same answers, and the same pricing
+        // work, since a batch's key set does not depend on its order.
         let permuted: Vec<EvalQuery> = queries.iter().rev().copied().collect();
-        let misses_before = engine.stats().misses;
+        let first = engine.stats();
         let again = engine.evaluate_batch(&permuted);
-        prop_assert_eq!(engine.stats().misses, misses_before, "cache failed to serve a repeat");
+        prop_assert_eq!(engine.stats().since(first), first);
         for (q, report) in permuted.iter().zip(&again) {
             prop_assert_eq!(report, &fresh(q));
         }
     }
 
     /// Counters are exact for arbitrary batches: misses equal the number
-    /// of distinct never-seen queries, hits cover everything else, and the
-    /// totals add up to the number of queries issued.
+    /// of distinct kernel keys, hits cover everything else, and the totals
+    /// add up to the number of queries issued.
     #[test]
     fn counters_account_for_every_query(
         queries in proptest::collection::vec(arb_query(), 1..48),
     ) {
-        let engine = EvalEngine::with_threads(CostModel::default(), layer_table(), 1);
-        let distinct: std::collections::HashSet<EvalQuery> = queries.iter().copied().collect();
+        let table = layer_table();
+        let engine = EvalEngine::new(CostModel::default(), table.clone());
+        let keys: HashSet<_> = queries.iter().map(|q| kernel_key(&table, q)).collect();
         engine.evaluate_batch(&queries);
         let stats = engine.stats();
-        prop_assert_eq!(stats.misses, distinct.len() as u64);
+        prop_assert_eq!(stats.misses, keys.len() as u64);
         prop_assert_eq!(stats.total(), queries.len() as u64);
-        prop_assert_eq!(engine.cache_len(), distinct.len());
 
-        // A full repeat adds only hits.
+        // A full repeat prices the same keys again.
         engine.evaluate_batch(&queries);
         let stats = engine.stats();
-        prop_assert_eq!(stats.misses, distinct.len() as u64);
+        prop_assert_eq!(stats.misses, 2 * keys.len() as u64);
         prop_assert_eq!(stats.total(), 2 * queries.len() as u64);
-    }
-
-    /// Save → JSON-lines → load round-trips the memo cache exactly: the
-    /// warm engine has the same `cache_len()`, serves every original query
-    /// (and a permutation of them, duplicates included) from the cache with
-    /// zero model runs, and re-serializes to an identical image.
-    #[test]
-    fn serialized_cache_round_trips(
-        queries in proptest::collection::vec(arb_query(), 1..48),
-        threads in 1usize..5,
-    ) {
-        let engine = EvalEngine::with_threads(CostModel::default(), layer_table(), threads);
-        let reports = engine.evaluate_batch(&queries);
-
-        let image = engine.to_serialized();
-        prop_assert_eq!(image.len(), engine.cache_len());
-        let reparsed = SerializedCache::from_json_lines(&image.to_json_lines())
-            .expect("own output parses");
-        prop_assert_eq!(&reparsed, &image);
-
-        let warm = EvalEngine::with_threads(CostModel::default(), layer_table(), threads);
-        warm.load_serialized(&reparsed);
-        prop_assert_eq!(warm.cache_len(), engine.cache_len());
-        prop_assert_eq!(warm.to_serialized(), image);
-
-        // Identical lookups, duplicates and permutations included, all
-        // served without a single fresh model run.
-        let permuted: Vec<EvalQuery> = queries.iter().rev().copied().collect();
-        let warm_reports = warm.evaluate_batch(&permuted);
-        for (r, wr) in reports.iter().rev().zip(&warm_reports) {
-            prop_assert_eq!(r, wr);
-        }
-        prop_assert_eq!(warm.stats().misses, 0);
-    }
-
-    /// Salvage is exact under truncation: cutting a cache image at *any*
-    /// byte yields precisely the complete-line prefix — serialized output
-    /// of the salvaged cache is a string prefix of the original image —
-    /// and never panics. An uncut image salvages clean.
-    #[test]
-    fn salvage_recovers_exact_prefix_of_truncated_image(
-        queries in proptest::collection::vec(arb_query(), 1..32),
-        cut_permille in 0u32..=1000,
-    ) {
-        let engine = EvalEngine::with_threads(CostModel::default(), layer_table(), 1);
-        engine.evaluate_batch(&queries);
-        let text = engine.to_serialized().to_json_lines();
-        let cut = text.len() * cut_permille as usize / 1000;
-        let cut = (0..=cut.min(text.len()))
-            .rev()
-            .find(|&i| text.is_char_boundary(i))
-            .unwrap();
-        let truncated = &text[..cut];
-
-        let (salvaged, dropped) = SerializedCache::from_json_lines_prefix(truncated);
-        prop_assert!(
-            text.starts_with(&salvaged.to_json_lines()),
-            "salvaged cache must be an exact prefix of the original image"
-        );
-        if cut == text.len() {
-            prop_assert!(dropped.is_none(), "an uncut image salvages clean");
-            prop_assert_eq!(salvaged.len(), engine.cache_len());
-        }
-        if let Some((lines_dropped, _)) = dropped {
-            prop_assert!(lines_dropped >= 1);
-            prop_assert!(salvaged.len() < engine.cache_len());
-        }
-    }
-
-    /// Salvage under arbitrary garbage suffixes: every valid line before
-    /// the garbage survives, the garbage (and everything after it) is
-    /// dropped and counted, and the strict loader refuses the whole file.
-    #[test]
-    fn salvage_drops_garbage_suffix_and_counts_it(
-        queries in proptest::collection::vec(arb_query(), 1..32),
-        garbage in proptest::collection::vec(0u32..256, 1..128),
-        trailing_valid_lines in 0usize..3,
-    ) {
-        let engine = EvalEngine::with_threads(CostModel::default(), layer_table(), 1);
-        engine.evaluate_batch(&queries);
-        let valid = engine.to_serialized().to_json_lines();
-
-        // A line starting with an unescaped control byte can never be a
-        // valid JSON entry, so the corruption point is unambiguous.
-        let mut corrupted = valid.clone();
-        corrupted.push('\u{1}');
-        let garbage: Vec<u8> = garbage.into_iter().map(|b| b as u8).collect();
-        corrupted.push_str(&String::from_utf8_lossy(&garbage).replace('\n', " "));
-        corrupted.push('\n');
-        // Valid-looking lines *after* the corruption point must not be
-        // resurrected: salvage keeps a prefix, not a filtered subset.
-        let mut appended = 0;
-        for line in valid.lines().take(trailing_valid_lines) {
-            corrupted.push_str(line);
-            corrupted.push('\n');
-            appended += 1;
-        }
-
-        prop_assert!(
-            SerializedCache::from_json_lines(&corrupted).is_err(),
-            "the strict loader must reject a corrupt image"
-        );
-        let (salvaged, dropped) = SerializedCache::from_json_lines_prefix(&corrupted);
-        prop_assert_eq!(salvaged.to_json_lines(), valid);
-        prop_assert_eq!(salvaged.len(), engine.cache_len());
-        let (lines_dropped, _) = dropped.expect("the garbage line must be counted");
-        prop_assert_eq!(lines_dropped, 1 + appended);
     }
 }
 
 /// Deterministic spot-check that the counters are *exact*, not just
-/// consistent: a batch with one in-batch duplicate and one repeat batch.
+/// consistent: in-batch duplicates, two tiles above the layer's `K`, a
+/// singleton, and a repeat batch.
 #[test]
 fn hit_miss_counters_are_exact() {
-    let engine = EvalEngine::with_threads(CostModel::default(), layer_table(), 2);
+    let engine = EvalEngine::new(CostModel::default(), layer_table());
     let a = EvalQuery {
         layer: 0,
         dataflow: Dataflow::NvdlaStyle,
@@ -207,20 +106,28 @@ fn hit_miss_counters_are_exact() {
         dataflow: Dataflow::ShiDianNaoStyle,
         point: DesignPoint::new(128, 8).unwrap(),
     };
-    let stats = |hits, misses| EvalStats {
-        hits,
-        misses,
-        evictions: 0,
-    };
-    // a: miss; a again in-batch: hit; b: miss.
+    let stats = |hits, misses| EvalStats { hits, misses };
+    // a: priced; a again in-batch: copied; b: priced.
     engine.evaluate_batch(&[a, a, b]);
     assert_eq!(engine.stats(), stats(1, 2));
-    // Singleton path shares cache and counters.
+    // A singleton always prices its query.
     engine.evaluate_query(a);
-    assert_eq!(engine.stats(), stats(2, 2));
-    // Full repeat batch: three hits, no new misses.
+    assert_eq!(engine.stats(), stats(1, 3));
+    // The repeat batch prices a and b again; its second a is a copy.
     engine.evaluate_batch(&[b, a, a]);
-    assert_eq!(engine.stats(), stats(5, 2));
+    assert_eq!(engine.stats(), stats(2, 5));
     assert_eq!(engine.stats().total(), 7);
-    assert_eq!(engine.cache_len(), 2);
+
+    // Layer 0 has K = 64: tiles 65 and 500 both clamp to 64, so the two
+    // queries are one key and price once.
+    let tiles: Vec<EvalQuery> = [65, 500]
+        .iter()
+        .map(|&tile| EvalQuery {
+            point: DesignPoint::new(16, tile).unwrap(),
+            ..a
+        })
+        .collect();
+    let reports = engine.evaluate_batch(&tiles);
+    assert_eq!(reports[0], reports[1]);
+    assert_eq!(engine.stats(), stats(3, 6));
 }

@@ -175,14 +175,12 @@ proptest! {
         }
     }
 
-    /// The engine's cached batch path (which routes misses through the
-    /// kernel, possibly across its worker pool) must agree with the scalar
-    /// oracle too — cache, dedup and chunking included.
+    /// The engine's batch path (one kernel call over the whole batch) must
+    /// agree with the scalar oracle too.
     #[test]
     fn engine_batches_match_scalar_through_the_kernel(
         zoo in proptest::collection::vec(layer_zoo(), 1..4),
         raw in raw_queries(),
-        threads in 1usize..4,
     ) {
         let model = CostModel::default();
         let queries: Vec<EvalQuery> = raw
@@ -193,7 +191,7 @@ proptest! {
                 point: DesignPoint::new(q.2, q.3).unwrap(),
             })
             .collect();
-        let engine = EvalEngine::with_threads(model.clone(), zoo.clone(), threads);
+        let engine = EvalEngine::new(model.clone(), zoo.clone());
         let batch = engine.evaluate_batch(&queries);
         for (i, q) in queries.iter().enumerate() {
             let scalar = model.evaluate(&zoo[q.layer], q.dataflow, q.point);

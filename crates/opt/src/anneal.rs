@@ -6,8 +6,7 @@ use crate::{BatchEval, Optimizer, Rng, SearchOutcome, SearchSpace};
 /// 10, step size 1), with geometric cooling.
 ///
 /// Each proposal depends on the accept/reject of the previous one, so SA
-/// is inherently sequential: it degrades to singleton batches (still
-/// served from the evaluation cache, just never fanned out).
+/// is inherently sequential: it degrades to singleton batches.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulatedAnnealing {
     /// Initial temperature.

@@ -68,17 +68,17 @@ pub fn cost_order(a: Option<f64>, b: Option<f64>) -> std::cmp::Ordering {
 }
 
 /// Cap on how many genomes an optimizer queues up before flushing them to
-/// the evaluator: big enough to saturate a worker pool, small enough to
-/// bound per-generation memory.
+/// the evaluator: big enough to fill the engine's kernel batches, small
+/// enough to bound per-generation memory.
 pub const EVAL_BATCH: usize = 256;
 
 /// A batched black-box objective over genomes with gene type `G`.
 ///
 /// Entry `i` of the result answers `genomes[i]`; `None` marks a
-/// constraint-violating genome. Implementations backed by a parallel
+/// constraint-violating genome. Implementations backed by a batch
 /// evaluation engine (the `EvalEngine` in the `maestro` crate) must return
 /// results bit-identical to evaluating each genome alone, in order — the
-/// optimizers rely on that to stay deterministic under any thread count.
+/// optimizers rely on that to stay deterministic.
 pub trait BatchEval<G> {
     /// Evaluates a batch of genomes.
     fn eval_batch(&mut self, genomes: &[Vec<G>]) -> Vec<Option<f64>>;

@@ -4,43 +4,35 @@
 //! and describes *exactly* which failures to inject and when, e.g.
 //!
 //! ```text
-//! drop_conn@frame=7;panic_worker@step=40;corrupt_sidecar;delay_write=50ms;seed=9
+//! drop_conn@frame=7;panic_worker@step=40;delay_write=50ms
 //! ```
 //!
-//! The plan is a no-op by default and bit-reproducible under a seed: the
-//! same plan against the same request sequence trips the same faults at
-//! the same points and (for `corrupt_sidecar`) writes the same garbage
-//! bytes. That turns every failure path — dropped connections, panicking
-//! workers, torn sidecar files, slow peers — into a deterministic CI test
-//! instead of a production surprise, the same way the `CONFX_THREADS`
-//! matrix did for parallelism.
+//! The plan is a no-op by default and deterministic: the same plan against
+//! the same request sequence trips the same faults at the same points.
+//! That turns every failure path — dropped connections, panicking workers,
+//! slow peers — into a deterministic CI test instead of a production
+//! surprise.
 //!
 //! The armed runtime state lives in a [`FaultInjector`]: point faults
-//! (`drop_conn`, `panic_worker`, `corrupt_sidecar`) trip exactly once per
-//! daemon lifetime, so the run after the injected failure exercises the
-//! *recovery*, not a failure loop. `delay_write` applies to every frame.
+//! (`drop_conn`, `panic_worker`) trip exactly once per daemon lifetime, so
+//! the run after the injected failure exercises the *recovery*, not a
+//! failure loop. `delay_write` applies to every frame.
 
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Environment variable consulted when `--faults` is not given.
 pub const FAULTS_ENV: &str = "CONFX_FAULTS";
 
-/// A parsed, seeded fault schedule. The default plan injects nothing.
+/// A parsed fault schedule. The default plan injects nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
-    /// Seed for the deterministic garbage bytes of `corrupt_sidecar`.
-    pub seed: u64,
     /// Drop (hard-close) the first connection that has written this many
     /// event frames, mid-stream — the client sees a torn TCP session.
     pub drop_conn_at_frame: Option<u64>,
     /// Panic the worker running the first job that reaches this step
     /// index, exercising `catch_unwind` isolation.
     pub panic_worker_at_step: Option<u64>,
-    /// Append garbage to one model's cache sidecar on the next flush,
-    /// simulating a torn write for the salvage path to recover from.
-    pub corrupt_sidecar: bool,
     /// Sleep this long before every event-frame write, simulating a slow
     /// network or a stalled peer.
     pub delay_write: Option<Duration>,
@@ -51,7 +43,6 @@ impl FaultPlan {
     pub fn is_noop(&self) -> bool {
         self.drop_conn_at_frame.is_none()
             && self.panic_worker_at_step.is_none()
-            && !self.corrupt_sidecar
             && self.delay_write.is_none()
     }
 
@@ -59,9 +50,7 @@ impl FaultPlan {
     ///
     /// * `drop_conn@frame=N`
     /// * `panic_worker@step=N`
-    /// * `corrupt_sidecar`
     /// * `delay_write=Nms` (also accepts a bare `N`, in milliseconds)
-    /// * `seed=N`
     ///
     /// Whitespace around entries is ignored; empty entries are allowed
     /// (so a trailing `;` is fine). Unknown names or malformed values are
@@ -89,12 +78,6 @@ impl FaultPlan {
                 "panic_worker@step" => {
                     plan.panic_worker_at_step = Some(number("panic_worker@step")?)
                 }
-                "corrupt_sidecar" => {
-                    if value.is_some() {
-                        return Err(format!("`{entry}`: corrupt_sidecar takes no value"));
-                    }
-                    plan.corrupt_sidecar = true;
-                }
                 "delay_write" => {
                     let raw =
                         value.ok_or_else(|| format!("`{entry}`: delay_write needs a value"))?;
@@ -106,7 +89,6 @@ impl FaultPlan {
                         .map_err(|e| format!("`{entry}`: {e}"))?;
                     plan.delay_write = Some(Duration::from_millis(ms));
                 }
-                "seed" => plan.seed = number("seed")?,
                 other => return Err(format!("unknown fault `{other}` in `{entry}`")),
             }
         }
@@ -131,13 +113,9 @@ impl std::fmt::Display for FaultPlan {
         if let Some(n) = self.panic_worker_at_step {
             parts.push(format!("panic_worker@step={n}"));
         }
-        if self.corrupt_sidecar {
-            parts.push("corrupt_sidecar".to_string());
-        }
         if let Some(d) = self.delay_write {
             parts.push(format!("delay_write={}ms", d.as_millis()));
         }
-        parts.push(format!("seed={}", self.seed));
         write!(f, "{}", parts.join(";"))
     }
 }
@@ -149,7 +127,6 @@ pub struct FaultInjector {
     plan: FaultPlan,
     drop_conn_used: AtomicBool,
     panic_used: AtomicBool,
-    corrupt_used: AtomicBool,
 }
 
 impl FaultInjector {
@@ -188,56 +165,11 @@ impl FaultInjector {
         }
     }
 
-    /// Called by the sidecar flusher after writing each sidecar; appends
-    /// seed-determined garbage to the first one flushed after arming,
-    /// simulating a torn write. Trips once.
-    pub fn maybe_corrupt_sidecar(&self, path: &Path) {
-        if !self.plan.corrupt_sidecar || self.corrupt_used.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        use std::io::Write;
-        let garbage = self.corruption_bytes();
-        match std::fs::OpenOptions::new().append(true).open(path) {
-            Ok(mut f) => {
-                let _ = f.write_all(&garbage);
-                eprintln!(
-                    "confuciux-server: injected fault: corrupted sidecar {}",
-                    path.display()
-                );
-            }
-            Err(e) => eprintln!(
-                "confuciux-server: corrupt_sidecar fault could not open {}: {e}",
-                path.display()
-            ),
-        }
-    }
-
     /// Sleeps the configured write delay, if any. Applies to every frame.
     pub fn delay_write(&self) {
         if let Some(d) = self.plan.delay_write {
             std::thread::sleep(d);
         }
-    }
-
-    /// The garbage appended by `corrupt_sidecar`: a torn, unparseable
-    /// JSON-lines tail whose bytes are a pure function of the plan seed
-    /// (splitmix64), so a chaos run is bit-reproducible.
-    fn corruption_bytes(&self) -> Vec<u8> {
-        let mut state = self.plan.seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        // A half-written entry: valid-looking prefix, then a truncated hex
-        // blob and no closing bracket or newline.
-        let mut out = format!("[{{\"layer\":{},\"torn\":\"", next() % 97).into_bytes();
-        for _ in 0..4 {
-            out.extend(format!("{:016x}", next()).into_bytes());
-        }
-        out
     }
 }
 
@@ -254,21 +186,17 @@ mod tests {
 
     #[test]
     fn full_grammar_parses() {
-        let plan = FaultPlan::parse(
-            "drop_conn@frame=7;panic_worker@step=40;corrupt_sidecar;delay_write=50ms;seed=9",
-        )
-        .unwrap();
+        let plan =
+            FaultPlan::parse("drop_conn@frame=7;panic_worker@step=40;delay_write=50ms").unwrap();
         assert_eq!(plan.drop_conn_at_frame, Some(7));
         assert_eq!(plan.panic_worker_at_step, Some(40));
-        assert!(plan.corrupt_sidecar);
         assert_eq!(plan.delay_write, Some(Duration::from_millis(50)));
-        assert_eq!(plan.seed, 9);
         assert!(!plan.is_noop());
     }
 
     #[test]
     fn display_round_trips() {
-        let plan = FaultPlan::parse("drop_conn@frame=3;corrupt_sidecar;seed=5").unwrap();
+        let plan = FaultPlan::parse("drop_conn@frame=3;delay_write=5ms").unwrap();
         assert_eq!(FaultPlan::parse(&plan.to_string()).unwrap(), plan);
     }
 
@@ -283,8 +211,8 @@ mod tests {
         assert!(FaultPlan::parse("explode").is_err());
         assert!(FaultPlan::parse("drop_conn@frame=").is_err());
         assert!(FaultPlan::parse("drop_conn@frame=seven").is_err());
-        assert!(FaultPlan::parse("corrupt_sidecar=yes").is_err());
         assert!(FaultPlan::parse("panic_worker@step").is_err());
+        assert!(FaultPlan::parse("delay_write").is_err());
     }
 
     #[test]
@@ -308,21 +236,9 @@ mod tests {
     }
 
     #[test]
-    fn corruption_bytes_are_seed_deterministic() {
-        let a = FaultInjector::new(FaultPlan::parse("corrupt_sidecar;seed=3").unwrap());
-        let b = FaultInjector::new(FaultPlan::parse("corrupt_sidecar;seed=3").unwrap());
-        let c = FaultInjector::new(FaultPlan::parse("corrupt_sidecar;seed=4").unwrap());
-        assert_eq!(a.corruption_bytes(), b.corruption_bytes());
-        assert_ne!(a.corruption_bytes(), c.corruption_bytes());
-    }
-
-    #[test]
     fn noop_injector_never_fires() {
         let inj = FaultInjector::new(FaultPlan::default());
         assert!(!inj.should_drop_conn(1_000));
         inj.maybe_panic_worker(1_000_000);
-        // corrupt: nothing to assert beyond "doesn't touch the fs"; the
-        // path does not exist, and a no-op plan must not try to open it.
-        inj.maybe_corrupt_sidecar(Path::new("/nonexistent/sidecar.jsonl"));
     }
 }

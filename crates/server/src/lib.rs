@@ -2,12 +2,9 @@
 //!
 //! A persistent daemon that accepts [`confuciux::JobSpec`] search jobs
 //! over a length-prefixed JSON protocol (TCP or stdin/stdout), runs them
-//! concurrently on a worker pool, and streams progress events back.
-//! All jobs of one model family share a single memoized
-//! [`maestro::EvalEngine`], so a second job on the same model runs
-//! almost entirely from cache; the cache is persisted to per-model
-//! sidecar files on shutdown (and periodically) so the next daemon
-//! starts warm.
+//! concurrently on a worker pool, and streams progress events back. Each
+//! job builds its own problem, so a job's result and counters are exactly
+//! those of the same spec run in-process.
 //!
 //! See [`protocol`] for the wire format, [`server`] for the daemon, and
 //! the repository README for a transcript of a typical session.

@@ -2,21 +2,18 @@
 //!
 //! ```text
 //! confuciux-server [--listen ADDR] [--stdio] [--workers N]
-//!                  [--sidecar-dir DIR] [--flush-secs N]
 //!                  [--max-active N] [--faults PLAN]
 //! ```
 //!
-//! Defaults: `--listen 127.0.0.1:7464`, 2 workers, no sidecar
-//! persistence. SIGTERM/SIGINT trigger the same graceful shutdown as a
-//! `Shutdown` request: running jobs stop at their next step boundary and
-//! every model cache is flushed to its sidecar.
+//! Defaults: `--listen 127.0.0.1:7464`, 2 workers. SIGTERM/SIGINT trigger
+//! the same graceful shutdown as a `Shutdown` request: running jobs stop
+//! at their next step boundary.
 //!
 //! `--faults` (or the `CONFX_FAULTS` environment variable) arms a
 //! deterministic chaos plan for testing, e.g.
-//! `drop_conn@frame=7;panic_worker@step=40;corrupt_sidecar;seed=7`; see
+//! `drop_conn@frame=7;panic_worker@step=40`; see
 //! [`confuciux_server::faults`]. The flag wins over the variable.
 
-use std::path::PathBuf;
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -75,14 +72,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?
             }
-            "--sidecar-dir" => {
-                args.config.sidecar_dir = Some(PathBuf::from(value("--sidecar-dir")?))
-            }
-            "--flush-secs" => {
-                args.config.flush_secs = value("--flush-secs")?
-                    .parse()
-                    .map_err(|e| format!("--flush-secs: {e}"))?
-            }
             "--max-active" => {
                 args.config.max_active = value("--max-active")?
                     .parse()
@@ -95,7 +84,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: confuciux-server [--listen ADDR] [--stdio] [--workers N] \
-                     [--sidecar-dir DIR] [--flush-secs N] [--max-active N] [--faults PLAN]"
+                     [--max-active N] [--faults PLAN]"
                 );
                 exit(0);
             }

@@ -81,10 +81,9 @@ pub enum Request {
     Resume { job: u64 },
     /// List all jobs the daemon knows about.
     Jobs,
-    /// Daemon-wide counters (jobs, engines, cache entries).
+    /// Daemon-wide counters (total and running jobs).
     Stats,
-    /// Stop accepting work, cancel running jobs, flush cache sidecars,
-    /// and exit the serve loop.
+    /// Stop accepting work, cancel running jobs, and exit the serve loop.
     Shutdown,
 }
 
@@ -113,9 +112,8 @@ pub enum Event {
     Started { job: u64, seq: u64 },
     /// One step of search progress: budgets spent so far, the best cost so
     /// far (bit-encoded `f64`, absent until a feasible point exists), and
-    /// the evaluation counters this job consumed (hit rate = `hits /
-    /// (hits + misses)`, warm when the shared cache already knew the
-    /// model).
+    /// the evaluation counters this job's run has consumed since it
+    /// started or resumed (hit rate = `hits / (hits + misses)`).
     Progress {
         job: u64,
         seq: u64,
@@ -159,12 +157,7 @@ pub enum Event {
     /// Answer to [`Request::Jobs`].
     JobList { jobs: Vec<JobSummary> },
     /// Answer to [`Request::Stats`].
-    ServerStats {
-        jobs_total: u64,
-        jobs_running: u64,
-        engines: u64,
-        cache_entries: u64,
-    },
+    ServerStats { jobs_total: u64, jobs_running: u64 },
     /// A request could not be honoured (unknown job, invalid spec, ...).
     /// The connection stays open.
     Error { message: String },

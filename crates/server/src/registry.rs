@@ -1,5 +1,4 @@
-//! In-memory state of the daemon: jobs, their event rings, and the shared
-//! per-model evaluation engines.
+//! In-memory state of the daemon: jobs and their event rings.
 //!
 //! Jobs are detached from connections: a client may submit, disconnect,
 //! and later [`Registry::attach`] from a fresh connection to replay the
@@ -12,9 +11,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 
 use confuciux::{JobSpec, SearchCheckpoint, SearchOutcome};
-use maestro::{lock_recovering, EvalEngine};
 
 use crate::protocol::{Event, JobSummary};
+
+/// Locks a mutex, recovering from poisoning. Poisoning only records that
+/// *some* thread panicked while holding the guard; the daemon's locked
+/// state (job registries, event rings, the job queue) is written
+/// atomically under the lock, so the data is still valid, and propagating
+/// the poison would punish every surviving thread for a bug that already
+/// unwound.
+pub(crate) fn lock_recovering<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Buffered events kept per job for reconnect catch-up. Oldest events are
 /// dropped first once the ring is full; `Attach` from a sequence that was
@@ -87,7 +95,7 @@ impl JobState {
     }
 }
 
-/// Shared registry of jobs and per-model engines.
+/// Shared registry of jobs.
 #[derive(Default)]
 pub struct Registry {
     jobs: Mutex<HashMap<u64, Arc<Mutex<JobState>>>>,
@@ -95,9 +103,6 @@ pub struct Registry {
     /// One cancel flag per job, reachable without the job lock so a
     /// `Cancel` request never waits behind a stepping worker.
     cancels: Mutex<HashMap<u64, Arc<AtomicBool>>>,
-    /// One shared evaluation engine per model family, keyed by the
-    /// model's canonical name — the daemon's cross-job memo cache.
-    engines: Mutex<HashMap<String, Arc<EvalEngine>>>,
 }
 
 impl Registry {
@@ -202,27 +207,6 @@ impl Registry {
         Some(f(&mut state))
     }
 
-    /// The shared engine for a model family, if one exists yet.
-    pub fn engine_for(&self, model: &str) -> Option<Arc<EvalEngine>> {
-        lock_recovering(&self.engines).get(model).cloned()
-    }
-
-    /// Registers the engine to share with future jobs of this model
-    /// family; the first registration wins.
-    pub fn register_engine(&self, model: &str, engine: Arc<EvalEngine>) {
-        lock_recovering(&self.engines)
-            .entry(model.to_string())
-            .or_insert(engine);
-    }
-
-    /// Snapshot of every model engine, for sidecar flushes.
-    pub fn engines_snapshot(&self) -> Vec<(String, Arc<EvalEngine>)> {
-        lock_recovering(&self.engines)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
     /// One [`JobSummary`] per job, ordered by id.
     pub fn summaries(&self) -> Vec<JobSummary> {
         let jobs = lock_recovering(&self.jobs);
@@ -253,18 +237,15 @@ impl Registry {
             .count()
     }
 
-    /// `(total jobs, running jobs, engines, cache entries)`.
-    pub fn stats(&self) -> (u64, u64, u64, u64) {
+    /// `(total jobs, running jobs)`.
+    pub fn stats(&self) -> (u64, u64) {
         let jobs = lock_recovering(&self.jobs);
         let total = jobs.len() as u64;
         let running = jobs
             .values()
             .filter(|j| lock_recovering(j).status == JobStatus::Running)
             .count() as u64;
-        drop(jobs);
-        let engines = self.engines_snapshot();
-        let entries: u64 = engines.iter().map(|(_, e)| e.cache_len() as u64).sum();
-        (total, running, engines.len() as u64, entries)
+        (total, running)
     }
 }
 
@@ -350,18 +331,5 @@ mod tests {
         reg.publish(id, |seq| Event::Started { job: id, seq });
         let n = reg.with_job(id, |s| s.subscribers.len()).unwrap();
         assert_eq!(n, 0);
-    }
-
-    #[test]
-    fn first_engine_registration_wins() {
-        let reg = Registry::new();
-        let a = spec().build().unwrap();
-        let b = spec().build().unwrap();
-        reg.register_engine("tiny_cnn", a.engine_handle());
-        reg.register_engine("tiny_cnn", b.engine_handle());
-        assert!(Arc::ptr_eq(
-            &reg.engine_for("tiny_cnn").unwrap(),
-            &a.engine_handle()
-        ));
     }
 }

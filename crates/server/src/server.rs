@@ -1,19 +1,18 @@
-//! The daemon: a worker pool draining a job queue against the shared
-//! per-model engines, plus connection handlers speaking the frame
-//! protocol over TCP or stdin/stdout.
+//! The daemon: a worker pool draining a job queue, plus connection
+//! handlers speaking the frame protocol over TCP or stdin/stdout.
 //!
 //! Jobs outlive connections. A submit auto-subscribes the submitting
 //! connection, but the job keeps running (and buffering events) if that
 //! connection dies; any later connection can `Attach` and catch up.
 //! Shutdown — by request or SIGTERM — cancels running jobs at their next
-//! step boundary, drains the pool, and flushes every model's cache to its
-//! sidecar file so the next daemon starts warm.
+//! step boundary and drains the pool. Each job builds its own problem, so
+//! its progress counters and outcome count only its own cost queries.
 //!
 //! Hardening (see [`crate::faults`] for the chaos harness that tests it):
 //!
 //! * Worker panics are caught per job: the job emits `Failed{diagnostic}`
 //!   and the worker moves on; every registry/server lock uses the
-//!   poison-recovering idiom ([`maestro::lock_recovering`]).
+//!   poison-recovering idiom (`registry::lock_recovering`).
 //! * Per-job deadlines: a job whose `deadline_ms` expires is stopped at
 //!   its next step boundary and reports its best-so-far outcome marked
 //!   degraded — a partial answer, not an error. Cancelled/shutdown jobs
@@ -21,27 +20,28 @@
 //! * Admission control: submits beyond [`ServerConfig::max_active`]
 //!   queued+running jobs get `Rejected{retry_after_ms}` instead of an
 //!   unbounded queue.
-//! * Corrupt sidecars are salvaged and quarantined at warm-load instead
-//!   of aborting the warm start.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use confuciux::{HwProblem, JobSpec, SearchCheckpoint, SearchError, SearchOutcome, TwoStageRunner};
-use maestro::{lock_recovering, CacheLoad};
+use confuciux::{JobSpec, SearchCheckpoint, SearchError, SearchOutcome, TwoStageRunner};
 
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::protocol::{poll_frame, write_frame, Event, FrameError, Polled, Request};
-use crate::registry::{JobStatus, Registry};
+use crate::registry::{lock_recovering, JobStatus, Registry};
 
-/// How long blocking polls (frame reads, queue receives, accept retries)
-/// wait before re-checking the shutdown flag.
+/// How long blocking polls (frame reads, queue receives) wait before
+/// re-checking the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
+
+/// How long the accept loop sleeps when no connection is pending. A client
+/// that connects during the sleep waits it out before its first frame is
+/// read, so it is kept to a few milliseconds.
+const ACCEPT_IDLE: Duration = Duration::from_millis(2);
 
 /// Write timeout on daemon TCP streams: a peer that stops draining its
 /// socket stalls only its own writer thread, and only this long, instead
@@ -53,12 +53,6 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 pub struct ServerConfig {
     /// Worker threads running jobs concurrently.
     pub workers: usize,
-    /// Directory for per-model cache sidecars (`<model>.cache.jsonl`).
-    /// `None` disables persistence.
-    pub sidecar_dir: Option<PathBuf>,
-    /// Seconds between periodic sidecar flushes (also flushed once more
-    /// on shutdown).
-    pub flush_secs: u64,
     /// Admission bound: submits while this many jobs are already queued
     /// or running get `Rejected{retry_after_ms}` instead of growing the
     /// queue without limit.
@@ -72,8 +66,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 2,
-            sidecar_dir: None,
-            flush_secs: 30,
             max_active: 64,
             faults: FaultPlan::default(),
         }
@@ -144,37 +136,14 @@ impl Inner {
             }
         }
     }
-
-    fn sidecar_path(&self, model: &str) -> Option<PathBuf> {
-        self.config
-            .sidecar_dir
-            .as_ref()
-            .map(|dir| dir.join(format!("{model}.cache.jsonl")))
-    }
-
-    /// Writes every model's cache to its sidecar file.
-    fn flush_sidecars(&self) {
-        for (model, engine) in self.registry.engines_snapshot() {
-            if let Some(path) = self.sidecar_path(&model) {
-                match engine.save_cache_file(&path) {
-                    Ok(()) => self.faults.maybe_corrupt_sidecar(&path),
-                    Err(e) => {
-                        eprintln!("confuciux-server: sidecar flush for {model} failed: {e}")
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// The search daemon. Construct with [`Server::new`], then drive it with
 /// [`Server::serve_listener`] (TCP) or [`Server::serve_stdio`]; both
-/// return once the shutdown flag is set and the final sidecar flush is
-/// done.
+/// return once the shutdown flag is set and the workers have drained.
 pub struct Server {
     inner: Arc<Inner>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    flusher: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Server {
@@ -199,14 +168,9 @@ impl Server {
                 thread::spawn(move || worker_loop(&inner, &rx))
             })
             .collect();
-        let flusher = inner.config.sidecar_dir.is_some().then(|| {
-            let inner = inner.clone();
-            thread::spawn(move || flusher_loop(&inner))
-        });
         Server {
             inner,
             workers: Mutex::new(workers),
-            flusher: Mutex::new(flusher),
         }
     }
 
@@ -216,9 +180,8 @@ impl Server {
         self.inner.shutdown.clone()
     }
 
-    /// Accepts connections until shutdown, then drains workers and
-    /// flushes sidecars. Returns the bound address via `addr_tx` style —
-    /// use `listener.local_addr()` before calling if you bound port 0.
+    /// Accepts connections until shutdown, then drains workers. Use
+    /// `listener.local_addr()` before calling if you bound port 0.
     pub fn serve_listener(&self, listener: TcpListener) -> std::io::Result<()> {
         listener.set_nonblocking(true)?;
         let mut conns: Vec<JoinHandle<()>> = Vec::new();
@@ -229,7 +192,7 @@ impl Server {
                     conns.push(thread::spawn(move || handle_tcp_conn(inner, stream)));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(POLL_INTERVAL / 2);
+                    thread::sleep(ACCEPT_IDLE);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -258,17 +221,12 @@ impl Server {
         self.finish();
     }
 
-    /// Joins workers and the flusher, then performs the final sidecar
-    /// flush.
+    /// Sets the shutdown flag and joins the workers.
     fn finish(&self) {
         self.inner.shutdown.store(true, Ordering::Relaxed);
         for worker in lock_recovering(&self.workers).drain(..) {
             let _ = worker.join();
         }
-        if let Some(flusher) = lock_recovering(&self.flusher).take() {
-            let _ = flusher.join();
-        }
-        self.inner.flush_sidecars();
     }
 }
 
@@ -284,57 +242,6 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<mpsc::Receiver<u64>>>) {
             Err(mpsc::RecvTimeoutError::Disconnected) => return,
         }
     }
-}
-
-fn flusher_loop(inner: &Arc<Inner>) {
-    let period = Duration::from_secs(inner.config.flush_secs.max(1));
-    let mut since_flush = Duration::ZERO;
-    while !inner.shutdown.load(Ordering::Relaxed) {
-        thread::sleep(POLL_INTERVAL);
-        since_flush += POLL_INTERVAL;
-        if since_flush >= period {
-            inner.flush_sidecars();
-            since_flush = Duration::ZERO;
-        }
-    }
-}
-
-/// Builds the job's problem over the model family's shared engine,
-/// creating (and warm-loading from the sidecar, if present) the engine on
-/// first use. Sidecar loading is tolerant: a corrupt file is quarantined
-/// to `<name>.corrupt` and its valid prefix salvaged — a torn flush must
-/// never keep the daemon from serving the model.
-fn build_problem(inner: &Inner, spec: &JobSpec) -> Result<HwProblem, SearchError> {
-    let model = dnn_models::by_name(&spec.model)
-        .ok_or_else(|| SearchError::InvalidSpec(format!("unknown model `{}`", spec.model)))?;
-    let canonical = model.name().to_string();
-    if let Some(engine) = inner.registry.engine_for(&canonical) {
-        return spec.build_shared(engine);
-    }
-    let problem = spec.build()?;
-    if let Some(path) = inner.sidecar_path(&canonical) {
-        if path.exists() {
-            match problem.engine_handle().load_cache_file_salvaging(&path) {
-                Ok(CacheLoad::Clean { entries }) => {
-                    eprintln!("confuciux-server: warmed {canonical} with {entries} sidecar entries")
-                }
-                Ok(CacheLoad::Salvaged {
-                    entries,
-                    lines_dropped,
-                    quarantined,
-                }) => eprintln!(
-                    "confuciux-server: sidecar for {canonical} was corrupt: salvaged {entries} \
-                     entries, dropped {lines_dropped} lines, quarantined to {}",
-                    quarantined.display()
-                ),
-                Err(e) => eprintln!("confuciux-server: sidecar load for {canonical} failed: {e}"),
-            }
-        }
-    }
-    inner
-        .registry
-        .register_engine(&canonical, problem.engine_handle());
-    Ok(problem)
 }
 
 fn fail_job(inner: &Inner, id: u64, error: String) {
@@ -407,7 +314,7 @@ fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<Se
     let Some(job) = inner.registry.job(id) else {
         return;
     };
-    let problem = match build_problem(inner, spec) {
+    let problem = match spec.build() {
         Ok(p) => p,
         Err(e) => return fail_job(inner, id, e.to_string()),
     };
@@ -655,12 +562,10 @@ fn handle_request(inner: &Arc<Inner>, tx: &mpsc::Sender<Event>, request: Request
             });
         }
         Request::Stats => {
-            let (jobs_total, jobs_running, engines, cache_entries) = inner.registry.stats();
+            let (jobs_total, jobs_running) = inner.registry.stats();
             let _ = tx.send(Event::ServerStats {
                 jobs_total,
                 jobs_running,
-                engines,
-                cache_entries,
             });
         }
         Request::Shutdown => {

@@ -109,10 +109,9 @@ fn arb_request() -> impl Strategy<Value = Request> {
 }
 
 fn arb_stats() -> impl Strategy<Value = EvalStats> {
-    (0u32..=u32::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX).prop_map(|(h, m, e)| EvalStats {
+    (0u32..=u32::MAX, 0u32..=u32::MAX).prop_map(|(h, m)| EvalStats {
         hits: h as u64,
         misses: m as u64,
-        evictions: e as u64,
     })
 }
 
@@ -181,14 +180,10 @@ fn arb_event() -> impl Strategy<Value = Event> {
             0..4,
         )
         .prop_map(|jobs| Event::JobList { jobs }),
-        (arb_u64(), arb_u64(), arb_u64(), arb_u64()).prop_map(
-            |(jobs_total, jobs_running, engines, cache_entries)| Event::ServerStats {
-                jobs_total,
-                jobs_running,
-                engines,
-                cache_entries,
-            }
-        ),
+        (arb_u64(), arb_u64()).prop_map(|(jobs_total, jobs_running)| Event::ServerStats {
+            jobs_total,
+            jobs_running,
+        }),
         arb_text().prop_map(|message| Event::Error { message }),
         Just(Event::ShuttingDown),
     ]

@@ -1,10 +1,9 @@
-//! End-to-end daemon tests over real TCP sockets: warm-cache sharing
-//! between sequential jobs, reconnect-with-catchup after a killed client,
-//! cancel/resume from the in-memory checkpoint, and the cache-sidecar
-//! lifecycle across two daemon generations.
+//! End-to-end daemon tests over real TCP sockets: per-job evaluation
+//! counters for concurrent and back-to-back jobs, reconnect-with-catchup
+//! after a killed client, cancel/resume from the in-memory checkpoint, and
+//! the fault-injection paths.
 
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
@@ -44,27 +43,33 @@ fn next_event(stream: &mut TcpStream) -> Event {
         .expect("daemon closed the stream unexpectedly")
 }
 
-/// Submits a job and follows its stream to `Done`, returning the job id,
-/// the outcome, and every job-scoped event seen.
-fn submit_and_finish(addr: SocketAddr, spec: JobSpec) -> (u64, SearchOutcome, Vec<Event>) {
+/// Submits a job and returns the stream its events arrive on.
+fn submit(addr: SocketAddr, spec: JobSpec) -> TcpStream {
     let mut stream = connect(addr);
     write_frame(&mut stream, &Request::Submit { spec }).unwrap();
-    let job = match next_event(&mut stream) {
-        Event::Submitted { job } => job,
+    match next_event(&mut stream) {
+        Event::Submitted { .. } => stream,
         other => panic!("expected Submitted, got {other:?}"),
-    };
-    let mut events = Vec::new();
+    }
+}
+
+/// Follows a submitted job's stream to `Done` and returns its outcome.
+fn finish(mut stream: TcpStream) -> SearchOutcome {
     loop {
         let event = next_event(&mut stream);
-        events.push(event.clone());
         if let Event::Done { outcome, .. } = event {
-            return (job, outcome, events);
+            return outcome;
         }
         assert!(
             !matches!(event, Event::Failed { .. } | Event::Cancelled { .. }),
             "job ended early: {event:?}"
         );
     }
+}
+
+/// Submits a job and follows its stream to `Done`.
+fn submit_and_finish(addr: SocketAddr, spec: JobSpec) -> SearchOutcome {
+    finish(submit(addr, spec))
 }
 
 fn shut_down(addr: SocketAddr) {
@@ -86,33 +91,25 @@ fn job_seqs(events: &[Event]) -> Vec<u64> {
 }
 
 #[test]
-fn sequential_jobs_share_one_warm_cache() {
-    let (serve, addr) = start_server(ServerConfig {
-        workers: 2,
-        sidecar_dir: None,
-        flush_secs: 3600,
-        ..ServerConfig::default()
-    });
+fn every_job_reports_the_eval_stats_of_its_library_run() {
+    let (serve, addr) = start_server(ServerConfig::default());
+    let spec = small_spec(11);
+    // The ground truth: the same spec run in-process.
+    let library = spec.clone().into_runner().unwrap().into_result().outcome();
 
-    let (_, cold, _) = submit_and_finish(addr, small_spec(11));
-    let (_, warm, _) = submit_and_finish(addr, small_spec(11));
+    // Two jobs of one model submitted back to back run concurrently on
+    // the two workers; a third runs after both.
+    let first = submit(addr, spec.clone());
+    let second = submit(addr, spec.clone());
+    let concurrent = [finish(first), finish(second)];
+    let after = submit_and_finish(addr, spec);
 
-    // Same spec, same seed: bit-identical search regardless of cache
-    // temperature...
-    assert_eq!(warm.digest(), cold.digest());
-    // ...but the second job ran almost entirely from the shared cache.
-    assert!(
-        warm.hit_rate() > 0.8,
-        "expected >80% warm hits, got {:.1}% ({:?})",
-        warm.hit_rate() * 100.0,
-        warm.eval_stats
-    );
-    assert!(
-        warm.hit_rate() > cold.hit_rate(),
-        "warm hit rate {:.3} should exceed cold {:.3}",
-        warm.hit_rate(),
-        cold.hit_rate()
-    );
+    // Each job builds its own problem, so its counters hold only its own
+    // cost queries: neither the other job's nor anything that ran before.
+    for outcome in concurrent.iter().chain([&after]) {
+        assert_eq!(outcome.digest(), library.digest());
+        assert_eq!(outcome.eval_stats, library.eval_stats);
+    }
 
     shut_down(addr);
     serve.join().unwrap();
@@ -122,8 +119,6 @@ fn sequential_jobs_share_one_warm_cache() {
 fn killed_client_reattaches_and_catches_up() {
     let (serve, addr) = start_server(ServerConfig {
         workers: 2,
-        sidecar_dir: None,
-        flush_secs: 3600,
         ..ServerConfig::default()
     });
     let spec = small_spec(23);
@@ -185,8 +180,6 @@ fn killed_client_reattaches_and_catches_up() {
 fn cancel_then_resume_finishes_bit_identically() {
     let (serve, addr) = start_server(ServerConfig {
         workers: 2,
-        sidecar_dir: None,
-        flush_secs: 3600,
         ..ServerConfig::default()
     });
     let mut spec = JobSpec::paper_default("tiny_cnn");
@@ -244,60 +237,10 @@ fn cancel_then_resume_finishes_bit_identically() {
 }
 
 #[test]
-fn sidecar_survives_daemon_restart() {
-    let dir = std::env::temp_dir().join(format!(
-        "confuciux-server-sidecar-{}-{:?}",
-        std::process::id(),
-        thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Generation 1: run one job cold, shut down (flushes the sidecar).
-    let (serve, addr) = start_server(ServerConfig {
-        workers: 1,
-        sidecar_dir: Some(PathBuf::from(&dir)),
-        flush_secs: 3600,
-        ..ServerConfig::default()
-    });
-    let (_, cold, _) = submit_and_finish(addr, small_spec(5));
-    shut_down(addr);
-    serve.join().unwrap();
-
-    // Sidecars are named after the *canonical* model name, not the alias
-    // the spec used.
-    let canonical = dnn_models::by_name("tiny_cnn").unwrap().name().to_string();
-    let sidecar = dir.join(format!("{canonical}.cache.jsonl"));
-    assert!(sidecar.exists(), "shutdown must flush {sidecar:?}");
-    assert!(std::fs::metadata(&sidecar).unwrap().len() > 0);
-
-    // Generation 2: a fresh daemon warm-loads the sidecar, so even its
-    // *first* job of the family runs mostly from cache.
-    let (serve, addr) = start_server(ServerConfig {
-        workers: 1,
-        sidecar_dir: Some(PathBuf::from(&dir)),
-        flush_secs: 3600,
-        ..ServerConfig::default()
-    });
-    let (_, warm, _) = submit_and_finish(addr, small_spec(5));
-    assert_eq!(warm.digest(), cold.digest());
-    assert!(
-        warm.hit_rate() > 0.8,
-        "sidecar warm start should serve >80% from cache, got {:.1}%",
-        warm.hit_rate() * 100.0
-    );
-    shut_down(addr);
-    serve.join().unwrap();
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn worker_panic_fails_job_but_daemon_survives() {
     let (serve, addr) = start_server(ServerConfig {
         workers: 2,
-        sidecar_dir: None,
-        flush_secs: 3600,
-        faults: FaultPlan::parse("panic_worker@step=2;seed=9").unwrap(),
+        faults: FaultPlan::parse("panic_worker@step=2").unwrap(),
         ..ServerConfig::default()
     });
 
@@ -324,7 +267,7 @@ fn worker_panic_fails_job_but_daemon_survives() {
 
     // ...and the daemon (and its worker pool) keeps serving: the same
     // connection stays usable and a fresh job runs to completion.
-    let (_, outcome, _) = submit_and_finish(addr, small_spec(3));
+    let outcome = submit_and_finish(addr, small_spec(3));
     assert!(outcome.best_cost().is_some());
 
     shut_down(addr);
@@ -335,8 +278,6 @@ fn worker_panic_fails_job_but_daemon_survives() {
 fn deadline_expiry_returns_degraded_best_so_far() {
     let (serve, addr) = start_server(ServerConfig {
         workers: 1,
-        sidecar_dir: None,
-        flush_secs: 3600,
         ..ServerConfig::default()
     });
 
@@ -392,8 +333,6 @@ fn deadline_expiry_returns_degraded_best_so_far() {
 fn over_capacity_submit_is_rejected_with_retry_hint() {
     let (serve, addr) = start_server(ServerConfig {
         workers: 1,
-        sidecar_dir: None,
-        flush_secs: 3600,
         max_active: 1,
         ..ServerConfig::default()
     });
@@ -428,7 +367,7 @@ fn over_capacity_submit_is_rejected_with_retry_hint() {
     // Free the slot and the same submit goes through.
     write_frame(&mut occupant, &Request::Cancel { job }).unwrap();
     while !matches!(next_event(&mut occupant), Event::Cancelled { .. }) {}
-    let (_, outcome, _) = submit_and_finish(addr, small_spec(14));
+    let outcome = submit_and_finish(addr, small_spec(14));
     assert!(outcome.best_cost().is_some());
 
     shut_down(addr);
@@ -439,9 +378,7 @@ fn over_capacity_submit_is_rejected_with_retry_hint() {
 fn dropped_connection_reattach_is_gapless_and_digest_identical() {
     let (serve, addr) = start_server(ServerConfig {
         workers: 1,
-        sidecar_dir: None,
-        flush_secs: 3600,
-        faults: FaultPlan::parse("drop_conn@frame=3;seed=21").unwrap(),
+        faults: FaultPlan::parse("drop_conn@frame=3").unwrap(),
         ..ServerConfig::default()
     });
     let spec = small_spec(21);
@@ -502,58 +439,4 @@ fn dropped_connection_reattach_is_gapless_and_digest_identical() {
 
     shut_down(addr);
     serve.join().unwrap();
-}
-
-#[test]
-fn corrupt_sidecar_is_salvaged_and_quarantined_on_restart() {
-    let dir = std::env::temp_dir().join(format!(
-        "confuciux-server-corrupt-{}-{:?}",
-        std::process::id(),
-        thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Generation 1 corrupts its own sidecar on flush (torn-write fault).
-    let (serve, addr) = start_server(ServerConfig {
-        workers: 1,
-        sidecar_dir: Some(PathBuf::from(&dir)),
-        flush_secs: 3600,
-        faults: FaultPlan::parse("corrupt_sidecar;seed=5").unwrap(),
-        ..ServerConfig::default()
-    });
-    let (_, cold, _) = submit_and_finish(addr, small_spec(5));
-    shut_down(addr);
-    serve.join().unwrap();
-
-    let canonical = dnn_models::by_name("tiny_cnn").unwrap().name().to_string();
-    let sidecar = dir.join(format!("{canonical}.cache.jsonl"));
-    assert!(sidecar.exists());
-
-    // Generation 2 must start normally anyway: the corrupt sidecar is
-    // quarantined, its valid prefix salvaged, and the next job still
-    // reproduces the same result.
-    let (serve, addr) = start_server(ServerConfig {
-        workers: 1,
-        sidecar_dir: Some(PathBuf::from(&dir)),
-        flush_secs: 3600,
-        ..ServerConfig::default()
-    });
-    let (_, warm, _) = submit_and_finish(addr, small_spec(5));
-    assert_eq!(warm.digest(), cold.digest());
-    assert!(
-        warm.hit_rate() > 0.8,
-        "salvaged prefix should still warm the cache, got {:.1}%",
-        warm.hit_rate() * 100.0
-    );
-    let mut quarantined = sidecar.clone().into_os_string();
-    quarantined.push(".corrupt");
-    assert!(
-        PathBuf::from(quarantined).exists(),
-        "the corrupt sidecar must be quarantined, not deleted"
-    );
-
-    shut_down(addr);
-    serve.join().unwrap();
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

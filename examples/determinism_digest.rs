@@ -1,10 +1,10 @@
-//! Prints a canonical, bit-exact digest of a fixed-seed search so CI can
-//! diff runs across `CONFX_THREADS` values: if the worker pool ever
-//! changed a result, the digests diverge and the determinism matrix leg
-//! fails. Wall-clock fields are deliberately excluded — everything printed
-//! here must be a pure function of the seed.
+//! Prints a canonical, bit-exact digest of a fixed-seed search, so two
+//! builds (or two machines) can be diffed line for line: if a change moved
+//! any result or counter, the digests diverge. Wall-clock fields are
+//! deliberately excluded — everything printed here must be a pure
+//! function of the seed.
 //!
-//! Usage: `CONFX_THREADS=8 cargo run --release --example determinism_digest`
+//! Usage: `cargo run --release --example determinism_digest`
 
 use confuciux::{
     run_rl_search_vec, two_stage_search, AlgorithmKind, ConstraintKind, CostOracle, Deployment,
@@ -34,7 +34,6 @@ impl Fnv {
 }
 
 fn main() {
-    let threads = maestro::threads_from_env();
     let problem = HwProblem::builder(dnn_models::tiny_cnn())
         .dataflow(Dataflow::NvdlaStyle)
         .objective(Objective::Latency)
@@ -48,9 +47,6 @@ fn main() {
     };
     let result = two_stage_search(&problem, &cfg, 42);
 
-    // Stderr, so stdout stays byte-identical across thread counts and CI
-    // can `diff` captured digests directly.
-    eprintln!("threads={threads}");
     println!(
         "final_cost_bits={:#018x}",
         result.final_cost().map_or(0, f64::to_bits)
@@ -77,10 +73,8 @@ fn main() {
     println!("eval_hits={} eval_misses={}", stats.hits, stats.misses);
 
     // Vectorized RL-stage digest: the Stage-1 search at n_envs = 1 and 4.
-    // Each line must be bit-identical across CONFX_THREADS values (CI's
-    // determinism matrix diffs this whole file), so the diff covers the
-    // full n_envs x threads cross product. The two lines differ from each
-    // other by design — four replicas draw from four RNG streams.
+    // The two lines differ from each other by design — four replicas draw
+    // from four RNG streams.
     for n_envs in [1usize, 4] {
         let r = run_rl_search_vec(
             &problem,
@@ -102,7 +96,7 @@ fn main() {
     }
 
     // Raw engine batch digest: every report field of a fixed query batch,
-    // bit for bit, straight off the worker pool.
+    // bit for bit, straight off the batch kernel.
     let mut batch = Fnv::new();
     let queries: Vec<EvalQuery> = (0..200)
         .map(|i| EvalQuery {

@@ -1,5 +1,5 @@
 //! Seeded determinism of the full two-stage pipeline: the same seed must
-//! produce bit-identical results across runs. Future parallelization or
+//! produce bit-identical results across runs and resume points. Future
 //! batching work must preserve this (or introduce an explicit opt-out),
 //! because every table/figure binary reports seed-tagged numbers.
 
@@ -10,24 +10,12 @@ use confuciux::{
 };
 use maestro::Dataflow;
 
-// Worker count left to `CONFX_THREADS` (CI's determinism matrix runs this
-// suite under 1/2/8 workers and the results must not move).
 fn problem() -> HwProblem {
     HwProblem::builder(dnn_models::tiny_cnn())
         .dataflow(Dataflow::NvdlaStyle)
         .objective(Objective::Latency)
         .constraint(ConstraintKind::Area, PlatformClass::Iot)
         .deployment(Deployment::LayerPipelined)
-        .build()
-}
-
-fn problem_with_threads(threads: usize) -> HwProblem {
-    HwProblem::builder(dnn_models::tiny_cnn())
-        .dataflow(Dataflow::NvdlaStyle)
-        .objective(Objective::Latency)
-        .constraint(ConstraintKind::Area, PlatformClass::Iot)
-        .deployment(Deployment::LayerPipelined)
-        .threads(threads)
         .build()
 }
 
@@ -39,8 +27,8 @@ fn config() -> TwoStageConfig {
     }
 }
 
-/// Asserts every seed-dependent field matches bit-for-bit (wall-clock
-/// times are the only fields allowed to differ).
+/// Asserts every seed-dependent field matches bit-for-bit, engine counters
+/// included (wall-clock times are the only fields allowed to differ).
 fn assert_bit_identical(a: &TwoStageResult, b: &TwoStageResult) {
     assert_eq!(a.global.algorithm, b.global.algorithm);
     assert_eq!(
@@ -59,12 +47,20 @@ fn assert_bit_identical(a: &TwoStageResult, b: &TwoStageResult) {
     );
     assert_eq!(a.global.epochs_to_converge, b.global.epochs_to_converge);
     assert_eq!(a.global.param_count, b.global.param_count);
+    assert_eq!(
+        a.global.eval_stats, b.global.eval_stats,
+        "global hit/miss counters differ"
+    );
 
     assert_eq!(a.fine.is_some(), b.fine.is_some());
     if let (Some(fa), Some(fb)) = (&a.fine, &b.fine) {
         assert_eq!(fa.best, fb.best, "fine-tuned best assignments differ");
         assert_eq!(bits(&fa.trace), bits(&fb.trace), "fine-stage traces differ");
         assert_eq!(fa.evaluations, fb.evaluations);
+        assert_eq!(
+            fa.eval_stats, fb.eval_stats,
+            "fine hit/miss counters differ"
+        );
     }
 
     assert_eq!(
@@ -98,40 +94,6 @@ fn determinism_holds_on_a_fresh_problem_instance() {
     assert_bit_identical(&r1, &r2);
 }
 
-#[test]
-fn thread_pool_never_changes_results() {
-    // The referee for the parallel evaluation engine: the full two-stage
-    // pipeline must be bit-identical whether cost batches are evaluated
-    // serially or fanned out over 2 or 8 workers. (CI additionally runs
-    // this whole suite under CONFX_THREADS=1/2/8 and diffs a digest of the
-    // outputs across jobs.)
-    let cfg = config();
-    let serial = two_stage_search(&problem_with_threads(1), &cfg, 42);
-    assert!(serial.final_cost().is_some());
-    for threads in [2, 8] {
-        let parallel = two_stage_search(&problem_with_threads(threads), &cfg, 42);
-        assert_bit_identical(&serial, &parallel);
-    }
-}
-
-#[test]
-fn eval_stats_are_thread_count_invariant() {
-    // Hit/miss accounting happens on the calling thread, so even the
-    // observability counters must not wobble with the worker count.
-    let cfg = config();
-    let mut stats = Vec::new();
-    for threads in [1, 2, 8] {
-        let p = problem_with_threads(threads);
-        let r = two_stage_search(&p, &cfg, 42);
-        stats.push((r.global.eval_stats, p.eval_stats()));
-    }
-    assert_eq!(stats[0], stats[1]);
-    assert_eq!(stats[0], stats[2]);
-    let (global, total) = stats[0];
-    assert!(global.total() > 0, "global stage issued no queries");
-    assert!(total.hits >= global.hits);
-}
-
 /// Asserts every seed-dependent field of two RL-stage results matches
 /// bit-for-bit (only wall time may differ).
 fn assert_same_search(a: &RlSearchResult, b: &RlSearchResult) {
@@ -153,7 +115,7 @@ fn vectorized_rollout_with_one_replica_is_bit_identical_to_serial() {
     // The tentpole contract of the VecEnv subsystem: `n_envs = 1` must
     // reproduce the pre-vectorization serial `run_rl_search` exactly —
     // same episodes, same updates, same RNG stream, and (because a
-    // single-replica round never pre-batches) the same hit/miss counters.
+    // single-replica round never batches) the same hit/miss counters.
     // Covered per agent family: REINFORCE (batched-rollout override),
     // PPO2 (buffered episodes), DDPG (off-policy serial fallback).
     for (kind, epochs) in [
@@ -161,8 +123,6 @@ fn vectorized_rollout_with_one_replica_is_bit_identical_to_serial() {
         (AlgorithmKind::Ppo2, 40),
         (AlgorithmKind::Ddpg, 16),
     ] {
-        // Fresh problems so both runs start from a cold memo cache and the
-        // eval-stats comparison is meaningful.
         let serial = run_rl_search(&problem(), kind, SearchBudget { epochs }, 42);
         let vec1 = run_rl_search_vec(&problem(), kind, SearchBudget { epochs }, 42, 1);
         assert_same_search(&serial, &vec1);
@@ -170,39 +130,21 @@ fn vectorized_rollout_with_one_replica_is_bit_identical_to_serial() {
 }
 
 #[test]
-fn vectorized_rollouts_are_deterministic_and_thread_invariant() {
-    // n_envs = 4: the result must be a pure function of (seed, n_envs) —
-    // identical across repeat runs and across worker-pool sizes, even
-    // though each synchronized step batches its cost queries.
+fn vectorized_rollouts_are_deterministic() {
+    // n_envs = 4: the result, counters included, must be a pure function
+    // of (seed, n_envs) — identical on a repeat run over the same problem
+    // and over a fresh one, even though each synchronized step batches its
+    // cost queries.
     let budget = SearchBudget { epochs: 50 };
-    let reference = run_rl_search_vec(
-        &problem_with_threads(1),
-        AlgorithmKind::Reinforce,
-        budget,
-        42,
-        4,
-    );
+    let p = problem();
+    let reference = run_rl_search_vec(&p, AlgorithmKind::Reinforce, budget, 42, 4);
     // 50 epochs over 4 replicas = 12 full rounds + a partial round of 2;
     // the budget must be spent exactly.
     assert_eq!(reference.trace.len(), 50);
-    for threads in [2, 8] {
-        let other = run_rl_search_vec(
-            &problem_with_threads(threads),
-            AlgorithmKind::Reinforce,
-            budget,
-            42,
-            4,
-        );
-        assert_same_search(&reference, &other);
-    }
-    let repeat = run_rl_search_vec(
-        &problem_with_threads(1),
-        AlgorithmKind::Reinforce,
-        budget,
-        42,
-        4,
-    );
+    let repeat = run_rl_search_vec(&p, AlgorithmKind::Reinforce, budget, 42, 4);
     assert_same_search(&reference, &repeat);
+    let fresh = run_rl_search_vec(&problem(), AlgorithmKind::Reinforce, budget, 42, 4);
+    assert_same_search(&reference, &fresh);
 }
 
 #[test]
@@ -219,10 +161,12 @@ fn two_stage_with_vectorized_stage1_is_deterministic() {
 }
 
 /// Runs `cfg` with seed 42, killing the search at `kill` and resuming
-/// from a JSON round-tripped checkpoint on the same problem instance.
+/// from a JSON round-tripped checkpoint — on the same problem instance, or
+/// on a freshly built one when `fresh` is set.
 fn killed_and_resumed(
     cfg: &TwoStageConfig,
     kill: impl Fn(&TwoStageRunner) -> bool,
+    fresh: bool,
 ) -> TwoStageResult {
     let p = problem();
     let mut runner = TwoStageRunner::new(&p, cfg, 42);
@@ -232,6 +176,7 @@ fn killed_and_resumed(
     let checkpoint = SearchCheckpoint::from_json(&runner.checkpoint().unwrap().to_json())
         .expect("checkpoint survives a JSON round trip");
     drop(runner);
+    let p = if fresh { problem() } else { p };
     TwoStageRunner::resume(&p, &checkpoint)
         .expect("resume from checkpoint")
         .into_result()
@@ -256,60 +201,35 @@ fn killed_and_resumed_search_is_bit_identical_serial_and_vectorized() {
             "seed 42 must reach the fine stage (n_envs = {n_envs})"
         );
 
-        let mid_global = killed_and_resumed(&cfg, |r| r.global_epochs_done() >= 10);
+        let mid_global = killed_and_resumed(&cfg, |r| r.global_epochs_done() >= 10, false);
         assert_bit_identical(&mid_global, &uninterrupted);
 
-        let mid_fine = killed_and_resumed(&cfg, |r| r.fine_evaluations_done() > 40);
+        let mid_fine = killed_and_resumed(&cfg, |r| r.fine_evaluations_done() > 40, false);
         assert_bit_identical(&mid_fine, &uninterrupted);
     }
 }
 
 #[test]
-fn resume_on_fresh_problem_with_saved_cache_reproduces_stats() {
-    // Cross-process resume: the checkpoint plus a persisted cost cache
-    // must reproduce not only the search outcome but also the hit/miss
-    // counters — a resumed run on a warm cache hits exactly where the
-    // uninterrupted run would have.
+fn resume_on_fresh_problem_reproduces_stats() {
+    // Cross-process resume: a checkpoint resumed on a fresh problem, with
+    // nothing carried over but the checkpoint, reproduces the outcome and
+    // the hit/miss counters of both stages (`assert_bit_identical` checks
+    // both), since each step's counters depend only on its own queries.
     let cfg = TwoStageConfig {
         global_epochs: 60,
         fine_evaluations: 200,
+        n_envs: 4,
         ..TwoStageConfig::default()
     };
     let uninterrupted = two_stage_search(&problem(), &cfg, 42);
-
-    let p1 = problem();
-    let mut runner = TwoStageRunner::new(&p1, &cfg, 42);
-    for _ in 0..10 {
-        assert!(runner.step());
-    }
-    let checkpoint = runner.checkpoint().unwrap();
-    drop(runner);
-    let cache_path = std::env::temp_dir().join(format!(
-        "confx_determinism_cache_{}.jsonl",
-        std::process::id()
-    ));
-    p1.save_cache(&cache_path).expect("cache saves");
-    drop(p1);
-
-    // "New process": a fresh problem, warmed from the cache file.
-    let p2 = problem();
-    let loaded = p2.load_cache(&cache_path).expect("cache loads");
-    assert!(loaded > 0, "killed run left a non-empty cache");
-    std::fs::remove_file(&cache_path).ok();
-    let resumed = TwoStageRunner::resume(&p2, &checkpoint)
-        .expect("resume on fresh problem")
-        .into_result();
-
-    assert_bit_identical(&resumed, &uninterrupted);
-    assert_eq!(
-        resumed.global.eval_stats, uninterrupted.global.eval_stats,
-        "warm-cache resume must reproduce stage-1 hit/miss counters"
-    );
-    if let (Some(fa), Some(fb)) = (&resumed.fine, &uninterrupted.fine) {
-        assert_eq!(
-            fa.eval_stats, fb.eval_stats,
-            "warm-cache resume must reproduce stage-2 hit/miss counters"
-        );
+    let kills: [fn(&TwoStageRunner) -> bool; 2] = [
+        |r| r.global_epochs_done() >= 10,
+        |r| r.fine_evaluations_done() > 40,
+    ];
+    for kill in kills {
+        let resumed = killed_and_resumed(&cfg, kill, true);
+        assert!(resumed.global.eval_stats.total() > 0);
+        assert_bit_identical(&resumed, &uninterrupted);
     }
 }
 
@@ -320,8 +240,8 @@ fn two_stage_digest_matches_frozen_value() {
     // best-so-far traces of both stages, so *any* change to cost-model
     // semantics, RNG streams, or search control flow moves it. Pinned
     // after the PR 8 reuse-analysis bugfixes; infrastructure changes
-    // (batching, caching, parallelism, the SoA cost kernel) must leave
-    // it untouched. If a later model-semantics fix moves it on purpose,
+    // (batching, the SoA cost kernel, removing the memo cache and worker
+    // pool) must leave it untouched. If a later model-semantics fix moves it on purpose,
     // re-pin in that commit and say why.
     let r = two_stage_search(&problem(), &config(), 42);
     assert_eq!(r.outcome().digest(), 8761028034292673676);
