@@ -861,15 +861,19 @@ impl FineRun {
         self.cursor.outcome().evaluations
     }
 
+    /// Engine counters for the whole run so far, across all segments.
+    fn stats_so_far(&self) -> EvalStats {
+        self.stats_accum
+            .plus(self.problem.eval_stats().since(self.stats_base))
+    }
+
     /// Captures everything needed to continue this run bit-identically.
     fn checkpoint(&self) -> FineStageState {
         FineStageState {
             rng_state: self.rng.state(),
             cursor: self.cursor.snapshot(),
             wall_nanos: (self.wall_accum + self.segment_start.elapsed()).as_nanos() as u64,
-            eval_stats: self
-                .stats_accum
-                .plus(self.problem.eval_stats().since(self.stats_base)),
+            eval_stats: self.stats_so_far(),
         }
     }
 
@@ -893,9 +897,7 @@ impl FineRun {
             trace: outcome.trace,
             evaluations: outcome.evaluations,
             wall_time: self.wall_accum + self.segment_start.elapsed(),
-            eval_stats: self
-                .stats_accum
-                .plus(self.problem.eval_stats().since(self.stats_base)),
+            eval_stats: self.stats_so_far(),
         }
     }
 
@@ -1388,6 +1390,16 @@ impl TwoStageRunner {
         }
     }
 
+    /// Evaluation-engine counters consumed so far, summed over both stages
+    /// and every resumed segment: the counters the outcome will report.
+    pub fn eval_stats(&self) -> EvalStats {
+        match self.stage.as_ref().expect("runner stage present") {
+            RunnerStage::Global(run) => run.stats_so_far(),
+            RunnerStage::Fine { global, run } => global.eval_stats.plus(run.stats_so_far()),
+            RunnerStage::Done(result) => result.outcome().eval_stats,
+        }
+    }
+
     /// The best-so-far result across whatever stages have run — a valid
     /// [`TwoStageResult`] even mid-flight. This is the degraded-outcome
     /// path: a deadline-stopped or cancelled job reduces this to a
@@ -1594,6 +1606,31 @@ mod tests {
             .expect("resume from mid-fine checkpoint")
             .into_result();
         assert_results_equal(&resumed, &uninterrupted);
+    }
+
+    #[test]
+    fn eval_stats_count_the_whole_run_across_stages_and_resumes() {
+        let cfg = small_config();
+        let problem = tiny_problem();
+        let mut runner = TwoStageRunner::new(&problem, &cfg, 19);
+        let mut last = runner.eval_stats();
+        let mut mid_fine = None;
+        while runner.step() {
+            let now = runner.eval_stats();
+            assert!(now.hits >= last.hits && now.misses >= last.misses);
+            last = now;
+            if runner.fine_evaluations_done() > 0 && mid_fine.is_none() {
+                mid_fine = Some((runner.checkpoint().unwrap(), now));
+            }
+        }
+        let done = runner.result().unwrap().outcome().eval_stats;
+        assert_eq!(runner.eval_stats(), done);
+
+        // A runner resumed on a fresh problem continues the count.
+        let (checkpoint, at) = mid_fine.expect("seed 19 reaches the fine stage");
+        let resumed = TwoStageRunner::resume(&tiny_problem(), &checkpoint).unwrap();
+        assert_eq!(resumed.eval_stats(), at);
+        assert_eq!(resumed.into_result().outcome().eval_stats, done);
     }
 
     #[test]

@@ -76,8 +76,11 @@ pub enum Request {
     Attach { job: u64, from_seq: u64 },
     /// Ask a running job to stop at the next step boundary.
     Cancel { job: u64 },
-    /// Re-enqueue a cancelled/failed job from its latest in-memory
-    /// checkpoint.
+    /// Re-enqueue a cancelled/failed/degraded job. It continues from the
+    /// in-memory checkpoint taken when it last stopped cleanly, or
+    /// restarts from its spec if it has none; either way it ends with the
+    /// uninterrupted run's digest. A connection that does not follow the
+    /// job yet is attached to the resumed run's events.
     Resume { job: u64 },
     /// List all jobs the daemon knows about.
     Jobs,
@@ -112,8 +115,9 @@ pub enum Event {
     Started { job: u64, seq: u64 },
     /// One step of search progress: budgets spent so far, the best cost so
     /// far (bit-encoded `f64`, absent until a feasible point exists), and
-    /// the evaluation counters this job's run has consumed since it
-    /// started or resumed (hit rate = `hits / (hits + misses)`).
+    /// the evaluation counters the job has consumed so far, cumulative
+    /// across resumes (hit rate = `hits / (hits + misses)`). The last
+    /// `Progress` carries the counters `Done`'s outcome reports.
     Progress {
         job: u64,
         seq: u64,
@@ -144,8 +148,10 @@ pub enum Event {
     /// Admission control refused the submit: the worker queue is at
     /// capacity. No job was created; retry after `retry_after_ms`.
     Rejected { retry_after_ms: u64 },
-    /// The job honoured a [`Request::Cancel`] (a checkpoint for
-    /// [`Request::Resume`] is kept in memory when stage 1 supports it).
+    /// The job honoured a [`Request::Cancel`] or a shutdown at a step
+    /// boundary. Its runner was checkpointed there (when stage 1 supports
+    /// checkpoints), so [`Request::Resume`] continues from exactly that
+    /// step.
     Cancelled { job: u64, seq: u64 },
     /// Answer to [`Request::Attach`]: `replayed` buffered events follow
     /// immediately, then live ones.

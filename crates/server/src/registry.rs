@@ -71,7 +71,9 @@ pub struct JobState {
     next_seq: u64,
     /// Live event streams; pruned when a send fails (client gone).
     subscribers: Vec<mpsc::Sender<Event>>,
-    /// Latest resume point captured after each completed step.
+    /// Resume point taken when the job last stopped cleanly at a step
+    /// boundary (cancel, shutdown, deadline); cleared once it is done.
+    /// Without one, a resume restarts the job from its spec.
     pub checkpoint: Option<SearchCheckpoint>,
     /// Final summary, once [`JobStatus::Done`].
     pub outcome: Option<SearchOutcome>,
@@ -167,12 +169,19 @@ impl Registry {
     }
 
     /// Reconnect catch-up: sends an [`Event::Attached`] header, replays
-    /// every buffered event with `seq >= from_seq` into `tx`, and
-    /// subscribes it for live events — all atomically with respect to
-    /// [`Registry::publish`], so the client sees no gap and no duplicate
-    /// between replayed and live events. Returns the number of events
-    /// replayed, or `None` for an unknown job.
-    pub fn attach(&self, id: u64, from_seq: u64, tx: mpsc::Sender<Event>) -> Option<u64> {
+    /// every buffered event with `seq >= from_seq` into `tx`, and, if
+    /// `subscribe`, subscribes it for live events — all atomically with
+    /// respect to [`Registry::publish`], so the client sees no gap and no
+    /// duplicate between replayed and live events. A stream that already
+    /// follows the job passes `subscribe = false`. Returns the number of
+    /// events replayed, or `None` for an unknown job.
+    pub fn attach(
+        &self,
+        id: u64,
+        from_seq: u64,
+        tx: mpsc::Sender<Event>,
+        subscribe: bool,
+    ) -> Option<u64> {
         let job = self.job(id)?;
         let mut state = lock_recovering(&job);
         let replay: Vec<Event> = state
@@ -192,7 +201,9 @@ impl Registry {
                 break;
             }
         }
-        state.subscribers.push(tx);
+        if subscribe {
+            state.subscribers.push(tx);
+        }
         Some(replayed)
     }
 
@@ -283,7 +294,7 @@ mod tests {
             reg.publish(id, |seq| Event::Started { job: id, seq });
         }
         let (tx, rx) = mpsc::channel();
-        let replayed = reg.attach(id, 3, tx).unwrap();
+        let replayed = reg.attach(id, 3, tx, true).unwrap();
         assert_eq!(replayed, 2);
         reg.publish(id, |seq| Event::Cancelled { job: id, seq });
         let events: Vec<Event> = rx.try_iter().collect();
@@ -300,6 +311,27 @@ mod tests {
             .filter_map(|e| e.job_seq().map(|(_, seq)| seq))
             .collect();
         assert_eq!(got, vec![3, 4, 5]);
+    }
+
+    #[test]
+    fn attach_without_subscribing_only_replays() {
+        let reg = Registry::new();
+        let id = reg.insert(spec());
+        for _ in 0..2 {
+            reg.publish(id, |seq| Event::Started { job: id, seq });
+        }
+        let (tx, rx) = mpsc::channel();
+        assert_eq!(reg.attach(id, 1, tx, false), Some(1));
+        reg.publish(id, |seq| Event::Cancelled { job: id, seq });
+        let got: Vec<u64> = rx
+            .try_iter()
+            .filter_map(|e| e.job_seq().map(|(_, seq)| seq))
+            .collect();
+        assert_eq!(
+            got,
+            vec![1],
+            "a stream that already follows gets no second live copy"
+        );
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! step boundary and drains the pool. Each job builds its own problem, so
 //! its progress counters and outcome count only its own cost queries.
 //!
+//! A running job is never snapshotted. When it stops at a step boundary
+//! (cancel, shutdown, deadline) it checkpoints its runner once, there, and
+//! `Resume` continues from that point; a job without one (a worker panic
+//! before any clean stop) restarts from its spec. The spec and seed fix
+//! the search, so either way the job ends with the uninterrupted run's
+//! digest.
+//!
 //! Hardening (see [`crate::faults`] for the chaos harness that tests it):
 //!
 //! * Worker panics are caught per job: the job emits `Failed{diagnostic}`
@@ -21,6 +28,7 @@
 //!   queued+running jobs get `Rejected{retry_after_ms}` instead of an
 //!   unbounded queue.
 
+use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -106,16 +114,16 @@ impl Inner {
         Ok(Submission::Accepted(id))
     }
 
-    /// Re-enqueues a cancelled/failed/degraded job to continue from its
-    /// latest in-memory checkpoint. Resumes bypass admission control: the
-    /// job was already admitted once and still holds its slot in the
-    /// registry.
+    /// Re-enqueues a cancelled/failed/degraded job. It continues from the
+    /// checkpoint its last clean stop took, or restarts from its spec if
+    /// it has none. Resumes bypass admission control: the job was already
+    /// admitted once and still holds its slot in the registry.
     fn resume(&self, id: u64) -> Result<(), String> {
         let accepted = self.registry.with_job(id, |state| {
             let resumable = matches!(
                 state.status,
                 JobStatus::Cancelled | JobStatus::Failed | JobStatus::Degraded
-            ) && state.checkpoint.is_some();
+            );
             if resumable {
                 state.status = JobStatus::Queued;
             }
@@ -124,7 +132,7 @@ impl Inner {
         match accepted {
             None => Err(format!("unknown job {id}")),
             Some(false) => Err(format!(
-                "job {id} is not resumable (must be cancelled/failed/degraded with a checkpoint)"
+                "job {id} is not resumable (must be cancelled/failed/degraded)"
             )),
             Some(true) => {
                 if let Some(flag) = self.registry.cancel_flag(id) {
@@ -255,12 +263,39 @@ fn fail_job(inner: &Inner, id: u64, error: String) {
     });
 }
 
-/// Records a job's terminal status and outcome in the registry.
-fn settle(inner: &Inner, id: u64, status: JobStatus, outcome: &SearchOutcome) {
+/// Records a job's terminal status and outcome in the registry, together
+/// with its resume point (`None` once the job is done), so a `Resume` that
+/// sees the new status also sees the checkpoint.
+fn settle(
+    inner: &Inner,
+    id: u64,
+    status: JobStatus,
+    outcome: &SearchOutcome,
+    checkpoint: Option<SearchCheckpoint>,
+) {
     inner.registry.with_job(id, |state| {
         state.status = status;
         state.outcome = Some(outcome.clone());
+        state.checkpoint = checkpoint;
     });
+}
+
+/// Stops a job cleanly at a step boundary: checkpoints the runner for
+/// `Resume`, then settles its best-so-far outcome, marked degraded with
+/// `reason`. The checkpoint comes first because the fine stage's
+/// best-so-far re-prices its best point, and the resumed run must not
+/// count that query.
+fn stop_job(
+    inner: &Inner,
+    id: u64,
+    runner: &TwoStageRunner,
+    status: JobStatus,
+    reason: &str,
+) -> SearchOutcome {
+    let checkpoint = runner.checkpoint().ok();
+    let outcome = runner.partial_result().outcome().into_degraded(reason);
+    settle(inner, id, status, &outcome, checkpoint);
+    outcome
 }
 
 /// Renders a caught panic payload for a `Failed{diagnostic}` event.
@@ -309,11 +344,9 @@ fn run_job(inner: &Arc<Inner>, id: u64) {
 /// cancellation, publishing progress along the way. Every early stop goes
 /// through the same best-so-far path ([`TwoStageRunner::partial_result`]):
 /// the difference between a deadline, a cancel, and a shutdown is only
-/// the terminal status and event, never the quality of the answer.
+/// the terminal status and event, never the quality of the answer. An
+/// early stop is also the only point where the runner is checkpointed.
 fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<SearchCheckpoint>) {
-    let Some(job) = inner.registry.job(id) else {
-        return;
-    };
     let problem = match spec.build() {
         Ok(p) => p,
         Err(e) => return fail_job(inner, id, e.to_string()),
@@ -325,7 +358,6 @@ fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<Se
         },
         None => TwoStageRunner::new(&problem, &spec.two_stage_config(), spec.seed),
     };
-    let stats_base = problem.eval_stats();
     let cancel = inner
         .registry
         .cancel_flag(id)
@@ -343,8 +375,7 @@ fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<Se
             } else {
                 "daemon shutdown"
             };
-            let outcome = runner.partial_result().outcome().into_degraded(reason);
-            settle(inner, id, JobStatus::Cancelled, &outcome);
+            stop_job(inner, id, &runner, JobStatus::Cancelled, reason);
             inner
                 .registry
                 .publish(id, |seq| Event::Cancelled { job: id, seq });
@@ -352,11 +383,7 @@ fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<Se
         }
         if deadline.is_some_and(|limit| started.elapsed() >= limit) {
             let reason = format!("deadline {}ms expired", spec.deadline_ms.unwrap_or(0));
-            let outcome = runner
-                .partial_result()
-                .outcome()
-                .into_degraded(reason.clone());
-            settle(inner, id, JobStatus::Degraded, &outcome);
+            let outcome = stop_job(inner, id, &runner, JobStatus::Degraded, &reason);
             inner.registry.publish(id, |seq| Event::Degraded {
                 job: id,
                 seq,
@@ -368,19 +395,13 @@ fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<Se
         inner.faults.maybe_panic_worker(step);
         let more = runner.step();
         step += 1;
-        // Keep the freshest resume point in memory; stage-1 agents without
-        // state saving (and finished runs) simply don't refresh it.
-        if let Ok(checkpoint) = runner.checkpoint() {
-            lock_recovering(&job).checkpoint = Some(checkpoint);
-        }
-        let stats = problem.eval_stats().since(stats_base);
         inner.registry.publish(id, |seq| Event::Progress {
             job: id,
             seq,
             epochs: runner.global_epochs_done(),
             evaluations: runner.fine_evaluations_done(),
             best_cost_bits: runner.best_cost_so_far().map(f64::to_bits),
-            stats,
+            stats: runner.eval_stats(),
         });
         if !more {
             break;
@@ -391,7 +412,7 @@ fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<Se
         .result()
         .expect("step() returned false, so the runner is done")
         .outcome();
-    settle(inner, id, JobStatus::Done, &outcome);
+    settle(inner, id, JobStatus::Done, &outcome, None);
     inner.registry.publish(id, |seq| Event::Done {
         job: id,
         seq,
@@ -471,10 +492,11 @@ fn serve_connection<R: Read, W: Write + Send + 'static>(
         }
     });
 
+    let mut following = HashSet::new();
     loop {
         match poll_frame::<_, Request>(&mut reader) {
             Ok(Polled::Frame(request)) => {
-                if handle_request(inner, &tx, request) {
+                if handle_request(inner, &tx, &mut following, request) {
                     break;
                 }
             }
@@ -501,8 +523,36 @@ fn serve_connection<R: Read, W: Write + Send + 'static>(
     let _ = writer_thread.join();
 }
 
+/// Replays `job`'s events from `from_seq` onto the connection and
+/// subscribes it to the live ones, unless it already follows the job: a
+/// connection follows a job at most once, or every later event would
+/// reach it twice. `following` holds the jobs this connection follows.
+/// Returns `false` for an unknown job.
+fn follow(
+    inner: &Inner,
+    tx: &mpsc::Sender<Event>,
+    following: &mut HashSet<u64>,
+    job: u64,
+    from_seq: u64,
+) -> bool {
+    let subscribe = !following.contains(&job);
+    let attached = inner
+        .registry
+        .attach(job, from_seq, tx.clone(), subscribe)
+        .is_some();
+    if attached {
+        following.insert(job);
+    }
+    attached
+}
+
 /// Executes one request; returns `true` when the connection should close.
-fn handle_request(inner: &Arc<Inner>, tx: &mpsc::Sender<Event>, request: Request) -> bool {
+fn handle_request(
+    inner: &Arc<Inner>,
+    tx: &mpsc::Sender<Event>,
+    following: &mut HashSet<u64>,
+    request: Request,
+) -> bool {
     match request {
         Request::Ping => {
             let _ = tx.send(Event::Pong);
@@ -513,7 +563,7 @@ fn handle_request(inner: &Arc<Inner>, tx: &mpsc::Sender<Event>, request: Request
                 // The worker may start publishing between submit() and
                 // here; a bare subscribe() would drop those events. Attach
                 // from seq 0 instead — it replays the gap atomically.
-                let _ = inner.registry.attach(job, 0, tx.clone());
+                follow(inner, tx, following, job, 0);
             }
             Ok(Submission::Rejected { retry_after_ms }) => {
                 let _ = tx.send(Event::Rejected { retry_after_ms });
@@ -525,7 +575,7 @@ fn handle_request(inner: &Arc<Inner>, tx: &mpsc::Sender<Event>, request: Request
             }
         },
         Request::Attach { job, from_seq } => {
-            if inner.registry.attach(job, from_seq, tx.clone()).is_none() {
+            if !follow(inner, tx, following, job, from_seq) {
                 let _ = tx.send(Event::Error {
                     message: format!("unknown job {job}"),
                 });
@@ -549,7 +599,11 @@ fn handle_request(inner: &Arc<Inner>, tx: &mpsc::Sender<Event>, request: Request
             match inner.resume(job) {
                 Ok(()) => {
                     let _ = tx.send(Event::Submitted { job });
-                    let _ = inner.registry.attach(job, from_seq, tx.clone());
+                    // A connection that already follows the job has every
+                    // event so far and gets the resumed run's live.
+                    if !following.contains(&job) {
+                        follow(inner, tx, following, job, from_seq);
+                    }
                 }
                 Err(message) => {
                     let _ = tx.send(Event::Error { message });

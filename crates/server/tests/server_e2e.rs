@@ -1,14 +1,14 @@
 //! End-to-end daemon tests over real TCP sockets: per-job evaluation
 //! counters for concurrent and back-to-back jobs, reconnect-with-catchup
-//! after a killed client, cancel/resume from the in-memory checkpoint, and
-//! the fault-injection paths.
+//! after a killed client, cancel/resume from the checkpoint a clean stop
+//! takes, restart from the spec, and the fault-injection paths.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
-use confuciux::{JobBudget, JobSpec, SearchOutcome};
+use confuciux::{EvalStats, JobBudget, JobSpec, SearchOutcome};
 use confuciux_server::{read_frame, write_frame, Event, FaultPlan, Request, Server, ServerConfig};
 
 fn start_server(config: ServerConfig) -> (thread::JoinHandle<()>, SocketAddr) {
@@ -88,6 +88,109 @@ fn job_seqs(events: &[Event]) -> Vec<u64> {
         .iter()
         .filter_map(|e| e.job_seq().map(|(_, seq)| seq))
         .collect()
+}
+
+/// `(epochs, evaluations, stats)`: how far a search has got.
+type Position = (usize, usize, EvalStats);
+
+/// The uninterrupted in-process run of `spec`: its outcome, and the
+/// position reached after each of its steps.
+fn library_run(spec: &JobSpec) -> (SearchOutcome, Vec<Position>) {
+    let mut runner = spec.clone().into_runner().unwrap();
+    let mut steps = Vec::new();
+    loop {
+        let more = runner.step();
+        steps.push((
+            runner.global_epochs_done(),
+            runner.fine_evaluations_done(),
+            runner.eval_stats(),
+        ));
+        if !more {
+            return (runner.result().unwrap().outcome(), steps);
+        }
+    }
+}
+
+/// The position every `Progress` in `events` reports.
+fn progress(events: &[Event]) -> Vec<Position> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Progress {
+                epochs,
+                evaluations,
+                stats,
+                ..
+            } => Some((*epochs, *evaluations, *stats)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The job id of the `Submitted` that must be the stream's next frame.
+fn submitted_job(stream: &mut TcpStream) -> u64 {
+    match next_event(stream) {
+        Event::Submitted { job } => job,
+        other => panic!("expected Submitted, got {other:?}"),
+    }
+}
+
+/// One connection submits `spec`, cancels the job after the first
+/// `Progress` with `evaluations >= cancel_at_evaluations`, and resumes it
+/// once `Cancelled` arrives. Returns the events up to `Cancelled` and the
+/// events after the resume up to `Done`.
+fn submit_cancel_resume(
+    addr: SocketAddr,
+    spec: JobSpec,
+    cancel_at_evaluations: usize,
+) -> (Vec<Event>, Vec<Event>) {
+    let mut stream = connect(addr);
+    write_frame(&mut stream, &Request::Submit { spec }).unwrap();
+    let job = submitted_job(&mut stream);
+    let mut before = Vec::new();
+    // Let it make some progress, then cancel.
+    loop {
+        let event = next_event(&mut stream);
+        let progressed = matches!(
+            event,
+            Event::Progress { evaluations, .. } if evaluations >= cancel_at_evaluations
+        );
+        before.push(event);
+        if progressed {
+            break;
+        }
+    }
+    write_frame(&mut stream, &Request::Cancel { job }).unwrap();
+    loop {
+        let event = next_event(&mut stream);
+        match &event {
+            Event::Cancelled { .. } => {
+                before.push(event);
+                break;
+            }
+            Event::Progress { .. } | Event::Started { .. } | Event::Attached { .. } => {
+                before.push(event)
+            }
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+    }
+
+    // Resume on the same connection, which still follows the job, and
+    // follow it to Done.
+    write_frame(&mut stream, &Request::Resume { job }).unwrap();
+    let mut after = Vec::new();
+    loop {
+        let event = next_event(&mut stream);
+        match &event {
+            Event::Done { .. } => {
+                after.push(event);
+                return (before, after);
+            }
+            Event::Failed { error, .. } => panic!("resumed job failed: {error}"),
+            Event::Error { message } => panic!("resume refused: {message}"),
+            _ => after.push(event),
+        }
+    }
 }
 
 #[test]
@@ -176,61 +279,85 @@ fn killed_client_reattaches_and_catches_up() {
     serve.join().unwrap();
 }
 
-#[test]
-fn cancel_then_resume_finishes_bit_identically() {
-    let (serve, addr) = start_server(ServerConfig {
-        workers: 2,
-        ..ServerConfig::default()
-    });
+fn cancel_spec() -> JobSpec {
     let mut spec = JobSpec::paper_default("tiny_cnn");
     spec.budget = JobBudget {
         global_epochs: 60,
         fine_evaluations: 150,
     };
     spec.seed = 37;
-    let expected = spec
-        .clone()
-        .into_runner()
-        .unwrap()
-        .into_result()
-        .outcome()
-        .digest();
+    spec
+}
 
-    let mut stream = connect(addr);
-    write_frame(&mut stream, &Request::Submit { spec }).unwrap();
-    let job = match next_event(&mut stream) {
-        Event::Submitted { job } => job,
-        other => panic!("expected Submitted, got {other:?}"),
-    };
-    // Let it make some progress, then cancel.
-    loop {
-        if matches!(next_event(&mut stream), Event::Progress { .. }) {
-            break;
-        }
-    }
-    write_frame(&mut stream, &Request::Cancel { job }).unwrap();
-    loop {
-        match next_event(&mut stream) {
-            Event::Cancelled { .. } => break,
-            Event::Progress { .. } | Event::Started { .. } => {}
-            other => panic!("expected Cancelled, got {other:?}"),
-        }
-    }
-
-    // Resume from the daemon's in-memory checkpoint and follow to Done.
-    write_frame(&mut stream, &Request::Resume { job }).unwrap();
-    let outcome = loop {
-        match next_event(&mut stream) {
-            Event::Done { outcome, .. } => break outcome,
-            Event::Failed { error, .. } => panic!("resumed job failed: {error}"),
-            _ => {}
-        }
+/// Checks a submit-cancel-resume run against the uninterrupted library
+/// run of the same spec: the same outcome and counters, a resume that
+/// continues at the step after the last one reported before the cancel
+/// (neither from the spec nor from an older point, and counting no query
+/// twice), cumulative progress counters that end at `Done`'s, and a
+/// connection that follows the job once, so every event of the resumed
+/// run arrives exactly once.
+fn assert_resumed_exactly(spec: JobSpec, before: &[Event], after: &[Event]) {
+    let (expected, steps) = library_run(&spec);
+    let outcome = match after.last() {
+        Some(Event::Done { outcome, .. }) => outcome,
+        other => panic!("expected Done, got {other:?}"),
     };
     assert_eq!(
         outcome.digest(),
-        expected,
+        expected.digest(),
         "cancel + resume must not change the result"
     );
+    assert_eq!(outcome.eval_stats, expected.eval_stats);
+
+    let (pre, post) = (progress(before), progress(after));
+    let last = pre.last().expect("progress before the cancel");
+    let stopped = steps
+        .iter()
+        .position(|s| s == last)
+        .expect("pre-cancel progress is a step of the library run");
+    assert_eq!(post.first(), steps.get(stopped + 1));
+
+    let counters: Vec<EvalStats> = pre.iter().chain(&post).map(|p| p.2).collect();
+    for pair in counters.windows(2) {
+        assert!(
+            pair[1].hits >= pair[0].hits && pair[1].misses >= pair[0].misses,
+            "counters fell: {:?} -> {:?}",
+            pair[0],
+            pair[1]
+        );
+    }
+    assert_eq!(post.last().unwrap().2, outcome.eval_stats);
+
+    let horizon = job_seqs(before).last().copied().unwrap() + 1;
+    let seqs = job_seqs(after);
+    let want: Vec<u64> = (horizon..horizon + seqs.len() as u64).collect();
+    assert_eq!(seqs, want, "resumed events must arrive exactly once");
+}
+
+#[test]
+fn cancel_then_resume_finishes_bit_identically() {
+    let (serve, addr) = start_server(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let (before, after) = submit_cancel_resume(addr, cancel_spec(), 0);
+    assert_resumed_exactly(cancel_spec(), &before, &after);
+
+    shut_down(addr);
+    serve.join().unwrap();
+}
+
+#[test]
+fn cancel_in_the_fine_stage_resumes_exactly() {
+    let (serve, addr) = start_server(ServerConfig::default());
+    // A long fine stage, cancelled mid-fine: the stop's best-so-far
+    // re-prices the fine best, which the checkpoint taken at the stop
+    // must not count.
+    let mut spec = cancel_spec();
+    spec.budget.fine_evaluations = 20_000;
+    let (before, after) = submit_cancel_resume(addr, spec.clone(), 1);
+    assert!(progress(&before).last().unwrap().1 < spec.budget.fine_evaluations);
+    assert_resumed_exactly(spec, &before, &after);
 
     shut_down(addr);
     serve.join().unwrap();
@@ -269,6 +396,48 @@ fn worker_panic_fails_job_but_daemon_survives() {
     // connection stays usable and a fresh job runs to completion.
     let outcome = submit_and_finish(addr, small_spec(3));
     assert!(outcome.best_cost().is_some());
+
+    shut_down(addr);
+    serve.join().unwrap();
+}
+
+#[test]
+fn job_failed_before_its_first_step_resumes_from_its_spec() {
+    let (serve, addr) = start_server(ServerConfig {
+        workers: 1,
+        faults: FaultPlan::parse("panic_worker@step=0").unwrap(),
+        ..ServerConfig::default()
+    });
+    let spec = small_spec(5);
+    let (expected, _) = library_run(&spec);
+
+    // The injected panic fires before the job's first step, so no clean
+    // stop ever checkpointed it.
+    let mut stream = connect(addr);
+    write_frame(&mut stream, &Request::Submit { spec }).unwrap();
+    let job = submitted_job(&mut stream);
+    loop {
+        match next_event(&mut stream) {
+            Event::Failed { .. } => break,
+            Event::Started { .. } | Event::Attached { .. } => {}
+            other => panic!("expected the injected panic, got {other:?}"),
+        }
+    }
+
+    // Resume from a fresh connection: the job restarts from its spec and
+    // reaches the uninterrupted run's outcome.
+    let mut stream = connect(addr);
+    write_frame(&mut stream, &Request::Resume { job }).unwrap();
+    assert_eq!(submitted_job(&mut stream), job);
+    let outcome = loop {
+        match next_event(&mut stream) {
+            Event::Done { outcome, .. } => break outcome,
+            Event::Failed { error, .. } => panic!("resumed job failed: {error}"),
+            _ => {}
+        }
+    };
+    assert_eq!(outcome.digest(), expected.digest());
+    assert_eq!(outcome.eval_stats, expected.eval_stats);
 
     shut_down(addr);
     serve.join().unwrap();
@@ -323,6 +492,32 @@ fn deadline_expiry_returns_degraded_best_so_far() {
             assert_eq!(summary.state, "degraded");
         }
         other => panic!("expected JobList, got {other:?}"),
+    }
+
+    // The deadline stop checkpointed the job: a resume continues from the
+    // step it stopped at (one epoch per step), with a fresh deadline
+    // window. Then cancel it.
+    write_frame(&mut stream, &Request::Resume { job }).unwrap();
+    assert_eq!(submitted_job(&mut stream), job);
+    let first = loop {
+        match next_event(&mut stream) {
+            Event::Progress {
+                epochs,
+                evaluations,
+                ..
+            } => break (epochs, evaluations),
+            Event::Started { .. } | Event::Attached { .. } => {}
+            other => panic!("expected the resumed run's progress, got {other:?}"),
+        }
+    };
+    assert_eq!(first, (outcome.epochs + 1, 0));
+    write_frame(&mut stream, &Request::Cancel { job }).unwrap();
+    loop {
+        match next_event(&mut stream) {
+            Event::Cancelled { .. } | Event::Degraded { .. } => break,
+            Event::Progress { .. } => {}
+            other => panic!("expected the job to stop, got {other:?}"),
+        }
     }
 
     shut_down(addr);
