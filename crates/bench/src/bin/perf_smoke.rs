@@ -19,7 +19,8 @@
 //!   comparing (use after an intentional perf change, on the CI runner
 //!   class the gate runs on).
 //! * The absolute-rate gates only apply when this machine has as many
-//!   cores as the one the baseline was recorded on.
+//!   cores as the one the baseline was recorded on. The two-stage query
+//!   count is exact, so it must not exceed the baseline's on any machine.
 //!
 //! The checked-in baseline was seeded from the development container; the
 //! first run on a new runner class should refresh it (see README).
@@ -124,7 +125,9 @@ const DAEMON_PAIRS: usize = 15;
 struct BenchCi {
     /// Wall time of the fixed-budget two-stage pipeline, in ms.
     two_stage_wall_ms: f64,
-    /// Cost queries issued by the two-stage pipeline.
+    /// Cost queries issued by the two-stage pipeline. A pure function of
+    /// the spec, so it is gated on every machine: it must not exceed the
+    /// baseline's.
     two_stage_queries: u64,
     /// Unique queries in the engine microbench batch.
     batch_queries: usize,
@@ -601,6 +604,16 @@ fn main() {
                 ));
             }
         }
+    }
+    // The query count is exact and machine-independent, so it is gated
+    // whatever the hardware. The fine stage prices only the layers a GA
+    // child changed; falling back to whole genomes keeps every cost and
+    // digest bit-identical, and only this count shows it.
+    if report.two_stage_queries > baseline.two_stage_queries {
+        failures.push(format!(
+            "two-stage pipeline issued {} engine queries, more than the baseline's {}",
+            report.two_stage_queries, baseline.two_stage_queries
+        ));
     }
     failures.extend(machine_local_failures(&report));
     if failures.is_empty() {

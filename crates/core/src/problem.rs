@@ -9,6 +9,11 @@ use crate::{
     ActionSpace, Assignment, ConstraintKind, Deployment, LayerAssignment, Objective, PlatformClass,
 };
 
+/// Queries per fused engine batch: big enough for the SoA kernel to pay
+/// off, small enough to keep a batch's buffers cache-resident (see
+/// [`HwProblem::evaluate_lp_batch`]).
+pub(crate) const TARGET_QUERIES_PER_CHUNK: usize = 512;
+
 /// The immutable body of a problem, shared by every [`HwProblem`] handle
 /// cloned from the same build.
 #[derive(Debug)]
@@ -168,16 +173,10 @@ impl HwProblem {
             self.core.model.len(),
             "LP assignments cover every layer"
         );
-        let mut cost = 0.0;
-        let mut used = 0.0;
-        for (idx, la) in layers.iter().enumerate() {
-            let report = self.evaluate_layer(idx, la.dataflow, la.point);
-            cost += self.core.objective.of(&report);
-            used += self.core.constraint.of(&report);
-            if used > self.core.budget {
-                return None;
-            }
-        }
+        let (cost, used) =
+            self.lp_sum(layers.iter().enumerate().map(|(idx, la)| {
+                self.layer_terms(&self.evaluate_layer(idx, la.dataflow, la.point))
+            }))?;
         Some(Assignment {
             layers: layers.to_vec(),
             cost,
@@ -185,15 +184,41 @@ impl HwProblem {
         })
     }
 
+    /// One layer's `(objective, constraint)` terms from its cost report.
+    pub(crate) fn layer_terms(&self, report: &CostReport) -> (f64, f64) {
+        (
+            self.core.objective.of(report),
+            self.core.constraint.of(report),
+        )
+    }
+
+    /// The LP sum over per-layer `(objective, constraint)` terms in layer
+    /// order: `Some((objective, constraint used))`, or `None` as soon as
+    /// the running constraint exceeds the budget. Every LP entry point
+    /// sums through here, so their costs agree bit for bit; a lazy `terms`
+    /// iterator stops pricing at that layer.
+    pub(crate) fn lp_sum(&self, terms: impl IntoIterator<Item = (f64, f64)>) -> Option<(f64, f64)> {
+        let mut cost = 0.0;
+        let mut used = 0.0;
+        for (objective, constraint) in terms {
+            cost += objective;
+            used += constraint;
+            if used > self.core.budget {
+                return None;
+            }
+        }
+        Some((cost, used))
+    }
+
     /// Candidates per fused engine batch in the `*_batch` entry points.
     /// Chunking keeps each batch's transient buffers (query list, report
     /// list, the kernel's memo table) cache-resident: a fused batch over
     /// hundreds of candidates otherwise streams megabytes through memory
     /// and costs more per query than the serial path it replaces. A chunk
-    /// carries at least 512 queries; the kernel dedups within a chunk, so
-    /// the size also fixes how the engine's counters split a batch.
+    /// carries at least [`TARGET_QUERIES_PER_CHUNK`] queries; the kernel
+    /// dedups within a chunk, so the size also fixes how the engine's
+    /// counters split a batch.
     fn batch_chunk_candidates(&self) -> usize {
-        const TARGET_QUERIES_PER_CHUNK: usize = 512;
         TARGET_QUERIES_PER_CHUNK
             .div_ceil(self.core.model.len().max(1))
             .max(1)
@@ -207,6 +232,10 @@ impl HwProblem {
     /// [`Self::evaluate_lp`] in a loop; the only difference is that
     /// infeasible candidates still price all their layers (the cost of
     /// dispatching a batch before any budget sum is known).
+    ///
+    /// The coarse baselines price through here. The fine stage does not:
+    /// its children differ from their parents in a few layers, so it
+    /// prices only those and re-sums the rest (see [`crate::fine_tune`]).
     ///
     /// # Panics
     ///
@@ -242,15 +271,7 @@ impl HwProblem {
             .iter()
             .zip(reports.chunks(self.core.model.len()))
             .map(|(layers, reports)| {
-                let mut cost = 0.0;
-                let mut used = 0.0;
-                for report in reports {
-                    cost += self.core.objective.of(report);
-                    used += self.core.constraint.of(report);
-                    if used > self.core.budget {
-                        return None;
-                    }
-                }
+                let (cost, used) = self.lp_sum(reports.iter().map(|r| self.layer_terms(r)))?;
                 Some(Assignment {
                     layers: layers.to_vec(),
                     cost,

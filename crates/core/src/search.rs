@@ -1,6 +1,6 @@
 use std::time::{Duration, Instant};
 
-use maestro::{Dataflow, DesignPoint, EvalStats};
+use maestro::{CostOracle, Dataflow, DesignPoint, EvalQuery, EvalStats};
 use opt_methods::{
     BatchEval, BayesianOpt, FineCursor, FineCursorState, FineSpace, GeneticAlgorithm, GridSearch,
     LocalGa, LocalGaConfig, Optimizer, RandomSearch, SearchSpace, SimulatedAnnealing,
@@ -12,6 +12,7 @@ use rl_core::{
 use serde::{Deserialize, Serialize};
 use tinynn::{Rng, SeedableRng};
 
+use crate::problem::TARGET_QUERIES_PER_CHUNK;
 use crate::{
     Assignment, Deployment, HwEnv, HwProblem, LayerAssignment, RewardConfig, SearchError, VecHwEnv,
 };
@@ -696,30 +697,99 @@ fn decode_fine_layers(genome: &[i64], dataflows: &[Dataflow]) -> Vec<LayerAssign
         .collect()
 }
 
-/// Batched fine-genome objective for the local GA: decodes each genome
-/// into per-layer assignments and prices whole generations through the
-/// engine at once.
+/// Batched fine-genome objective for the local GA.
+///
+/// Under LP, the terms of an individual are its per-layer `(objective,
+/// constraint)` pairs, interleaved. A child starts from a copy of its
+/// parent's terms and reprices only the layers whose two genes differ from
+/// the parent's; the changed layers of a whole generation go to the engine
+/// together, [`TARGET_QUERIES_PER_CHUNK`] queries at a time. Every term is
+/// filled, also past the layer where an infeasible sum stops, because the
+/// children of an infeasible parent need them. The cost is then the LP sum
+/// of all `n` terms in layer order ([`HwProblem::lp_sum`]): the same f64
+/// terms and additions as [`HwProblem::evaluate_lp`], so the same bits.
+///
+/// LS genomes are one shared design point, so each is priced whole by
+/// [`HwProblem::evaluate_ls_batch`] and carries no terms.
 struct FineBatchObjective {
     problem: HwProblem,
     dataflows: Vec<Dataflow>,
 }
 
+impl FineBatchObjective {
+    fn price_lp(
+        &self,
+        children: &[Vec<i64>],
+        parents: &[(&[i64], &[f64])],
+    ) -> Vec<(Option<f64>, Vec<f64>)> {
+        let n = self.dataflows.len();
+        let mut terms: Vec<Vec<f64>> = Vec::with_capacity(children.len());
+        // (child, layer) of every layer to price.
+        let mut changed: Vec<(usize, usize)> = Vec::new();
+        for (c, (child, &(parent, parent_terms))) in children.iter().zip(parents).enumerate() {
+            assert_eq!(child.len(), 2 * n, "fine genomes carry two genes per layer");
+            if parent_terms.is_empty() {
+                terms.push(vec![0.0; 2 * n]);
+                changed.extend((0..n).map(|layer| (c, layer)));
+            } else {
+                assert_eq!(parent_terms.len(), 2 * n, "two terms per layer");
+                terms.push(parent_terms.to_vec());
+                changed.extend(
+                    (0..n)
+                        .filter(|&l| child[2 * l..2 * l + 2] != parent[2 * l..2 * l + 2])
+                        .map(|layer| (c, layer)),
+                );
+            }
+        }
+        for chunk in changed.chunks(TARGET_QUERIES_PER_CHUNK) {
+            let queries: Vec<EvalQuery> = chunk
+                .iter()
+                .map(|&(c, layer)| EvalQuery {
+                    layer,
+                    dataflow: self.dataflows[layer],
+                    point: DesignPoint::new(
+                        children[c][2 * layer] as u64,
+                        children[c][2 * layer + 1] as u64,
+                    )
+                    .expect("bounds start at 1"),
+                })
+                .collect();
+            let reports = self.problem.engine().evaluate_batch(&queries);
+            for (&(c, layer), report) in chunk.iter().zip(&reports) {
+                let (objective, constraint) = self.problem.layer_terms(report);
+                terms[c][2 * layer] = objective;
+                terms[c][2 * layer + 1] = constraint;
+            }
+        }
+        terms
+            .into_iter()
+            .map(|t| {
+                let sum = self.problem.lp_sum(t.chunks(2).map(|p| (p[0], p[1])));
+                (sum.map(|(cost, _)| cost), t)
+            })
+            .collect()
+    }
+}
+
 impl BatchEval<i64> for FineBatchObjective {
     fn eval_batch(&mut self, genomes: &[Vec<i64>]) -> Vec<Option<f64>> {
+        let parents: Vec<(&[i64], &[f64])> =
+            genomes.iter().map(|g| (g.as_slice(), &[][..])).collect();
+        self.eval_children(genomes, &parents)
+            .into_iter()
+            .map(|(cost, _)| cost)
+            .collect()
+    }
+
+    fn eval_children(
+        &mut self,
+        children: &[Vec<i64>],
+        parents: &[(&[i64], &[f64])],
+    ) -> Vec<(Option<f64>, Vec<f64>)> {
         match self.problem.deployment() {
-            Deployment::LayerPipelined => {
-                let candidates: Vec<Vec<LayerAssignment>> = genomes
-                    .iter()
-                    .map(|g| decode_fine_layers(g, &self.dataflows))
-                    .collect();
-                self.problem
-                    .evaluate_lp_batch(&candidates)
-                    .into_iter()
-                    .map(|a| a.map(|a| a.cost))
-                    .collect()
-            }
+            Deployment::LayerPipelined => self.price_lp(children, parents),
             Deployment::LayerSequential => {
-                let configs: Vec<(Dataflow, DesignPoint)> = genomes
+                let configs: Vec<(Dataflow, DesignPoint)> = children
                     .iter()
                     .map(|g| {
                         let la = &decode_fine_layers(g, &self.dataflows)[0];
@@ -729,7 +799,7 @@ impl BatchEval<i64> for FineBatchObjective {
                 self.problem
                     .evaluate_ls_batch(&configs)
                     .into_iter()
-                    .map(|a| a.map(|a| a.cost))
+                    .map(|a| (a.map(|a| a.cost), Vec::new()))
                     .collect()
             }
         }
@@ -739,6 +809,10 @@ impl BatchEval<i64> for FineBatchObjective {
 /// Fine-tunes a coarse assignment with the local GA on the fine-grained
 /// integer space (PE counts up to the action-space maximum, tiles up to
 /// 4× the coarse maximum). The dataflow per layer stays fixed.
+///
+/// Under LP, a child is priced from its parent's per-layer terms: only
+/// the layers whose genes changed go to the engine, and the cost is the
+/// same LP sum as [`HwProblem::evaluate_lp`]'s, bit for bit.
 pub fn fine_tune(
     problem: &HwProblem,
     coarse: &Assignment,
@@ -820,30 +894,68 @@ impl FineRun {
 
     /// Rebuilds a run from a [`FineStageState`]. The space and dataflows
     /// are re-derived from the same coarse assignment; population, trace,
-    /// and RNG position come from the snapshot.
+    /// and RNG position come from the snapshot. A coarse best or a
+    /// population that does not fit `problem`, or a snapshot over
+    /// `evaluations`, is a [`SearchError::Format`].
+    ///
+    /// The population's evaluator terms are not in the snapshot. They are
+    /// rebuilt here by pricing the population, before the segment's
+    /// counters start, so the resumed run counts exactly the queries of
+    /// the uninterrupted one.
     fn resume(
         problem: &HwProblem,
         coarse: &Assignment,
         evaluations: usize,
         state: &FineStageState,
-    ) -> Self {
+    ) -> Result<Self, SearchError> {
+        let layers = match problem.deployment() {
+            Deployment::LayerPipelined => problem.model().len(),
+            Deployment::LayerSequential => 1,
+        };
+        if coarse.layers.len() != layers {
+            return Err(SearchError::Format(format!(
+                "checkpoint's coarse best assigns {} layers but the problem needs {layers}",
+                coarse.layers.len()
+            )));
+        }
         let (space, _init, dataflows) = fine_setup(problem, coarse);
-        FineRun {
+        let mut cursor = FineCursor::restore(&state.cursor);
+        if cursor.genomes().next().is_none() {
+            return Err(SearchError::Format(
+                "checkpoint has an empty fine-stage population".to_string(),
+            ));
+        }
+        if let Some(genome) = cursor.genomes().find(|g| !space.contains(g)) {
+            return Err(SearchError::Format(format!(
+                "checkpoint genome of {} genes lies outside the {}-gene fine space",
+                genome.len(),
+                space.len()
+            )));
+        }
+        let spent = cursor.outcome().evaluations;
+        if spent > evaluations {
+            return Err(SearchError::Format(format!(
+                "checkpoint already spent {spent} evaluations of a {evaluations}-evaluation budget"
+            )));
+        }
+        let mut eval = FineBatchObjective {
+            problem: problem.clone(),
+            dataflows,
+        };
+        cursor.rebuild_terms(&mut eval);
+        Ok(FineRun {
             problem: problem.clone(),
             ga: LocalGa::new(LocalGaConfig::default()),
             space,
-            eval: FineBatchObjective {
-                problem: problem.clone(),
-                dataflows,
-            },
-            cursor: FineCursor::restore(&state.cursor),
+            eval,
+            cursor,
             rng: Rng::from_state(state.rng_state),
             budget: evaluations,
             stats_base: problem.eval_stats(),
             stats_accum: state.eval_stats,
             wall_accum: Duration::from_nanos(state.wall_nanos),
             segment_start: Instant::now(),
-        }
+        })
     }
 
     /// Runs one GA generation; `false` once the budget is exhausted.
@@ -1253,7 +1365,7 @@ impl TwoStageRunner {
             let coarse = global.best.clone().ok_or_else(|| {
                 SearchError::Format("checkpoint has a fine stage but no coarse best".to_string())
             })?;
-            let run = FineRun::resume(problem, &coarse, config.fine_evaluations, fine);
+            let run = FineRun::resume(problem, &coarse, config.fine_evaluations, fine)?;
             RunnerStage::Fine { global, run }
         } else {
             return Err(SearchError::Format(
@@ -1631,6 +1743,234 @@ mod tests {
         let resumed = TwoStageRunner::resume(&tiny_problem(), &checkpoint).unwrap();
         assert_eq!(resumed.eval_stats(), at);
         assert_eq!(resumed.into_result().outcome().eval_stats, done);
+    }
+
+    /// A `tiny_problem` search at seed 19 stopped once it has spent at
+    /// least `fine_evaluations` fine-stage evaluations.
+    fn mid_fine_checkpoint(fine_evaluations: usize) -> SearchCheckpoint {
+        let mut runner = TwoStageRunner::new(&tiny_problem(), &small_config(), 19);
+        while runner.fine_evaluations_done() < fine_evaluations {
+            assert!(runner.step(), "search ended before the checkpoint");
+        }
+        runner.checkpoint().unwrap()
+    }
+
+    fn assert_format_error(resumed: Result<TwoStageRunner, SearchError>, what: &str) {
+        match resumed {
+            Err(SearchError::Format(_)) => {}
+            Err(e) => panic!("{what}: expected a format error, got {e}"),
+            Ok(_) => panic!("{what}: resume accepted the checkpoint"),
+        }
+    }
+
+    fn mobilenet_v2_iot() -> HwProblem {
+        HwProblem::builder(dnn_models::mobilenet_v2())
+            .objective(Objective::Latency)
+            .constraint(ConstraintKind::Area, PlatformClass::Iot)
+            .deployment(Deployment::LayerPipelined)
+            .build()
+    }
+
+    #[test]
+    fn resume_rejects_a_fine_checkpoint_of_another_model() {
+        let checkpoint = mid_fine_checkpoint(1);
+        assert_format_error(
+            TwoStageRunner::resume(&mobilenet_v2_iot(), &checkpoint),
+            "tiny_cnn checkpoint on mobilenet_v2",
+        );
+    }
+
+    #[test]
+    fn resume_rejects_a_fine_checkpoint_over_its_budget() {
+        let mut checkpoint = mid_fine_checkpoint(110);
+        checkpoint.config.fine_evaluations = 50;
+        assert_format_error(
+            TwoStageRunner::resume(&tiny_problem(), &checkpoint),
+            "110 evaluations spent of a 50-evaluation budget",
+        );
+    }
+
+    #[test]
+    fn resume_rejects_a_malformed_fine_population() {
+        use serde::Value;
+        /// The population of a serialized `FineCursorState`: one
+        /// `[genome, cost bits]` array per individual.
+        fn population(cursor: &mut Value) -> &mut Vec<Value> {
+            match cursor {
+                Value::Object(fields) => match fields.iter_mut().find(|(k, _)| k == "population") {
+                    Some((_, Value::Array(population))) => population,
+                    _ => panic!("no population array"),
+                },
+                _ => panic!("cursor is not an object"),
+            }
+        }
+        fn first_genome(population: &mut [Value]) -> &mut Vec<Value> {
+            match &mut population[0] {
+                Value::Array(individual) => match &mut individual[0] {
+                    Value::Array(genome) => genome,
+                    _ => panic!("genome is not an array"),
+                },
+                _ => panic!("individual is not an array"),
+            }
+        }
+        type Edit = fn(&mut Vec<Value>);
+        let edits: [(&str, Edit); 3] = [
+            ("empty population", |p| p.clear()),
+            ("a PE count of 0", |p| first_genome(p)[0] = Value::Int(0)),
+            ("a genome one gene short", |p| {
+                first_genome(p).pop();
+            }),
+        ];
+        let checkpoint = mid_fine_checkpoint(1);
+        for (what, edit) in edits {
+            let mut checkpoint = checkpoint.clone();
+            let fine = checkpoint.fine.as_mut().unwrap();
+            let mut cursor = serde_json::to_value(&fine.cursor).unwrap();
+            edit(population(&mut cursor));
+            fine.cursor = serde_json::from_value(cursor).unwrap();
+            assert_format_error(TwoStageRunner::resume(&tiny_problem(), &checkpoint), what);
+        }
+    }
+
+    /// Prices each `(parent, child, parent keeps its terms)` pair the way
+    /// the fine stage does, then checks every cost (by bits) against
+    /// [`HwProblem::evaluate_lp`] and every term against the layer's fresh
+    /// report. Returns how many infeasible parents had a feasible child.
+    fn check_fine_children(
+        problem: &HwProblem,
+        dataflows: &[Dataflow],
+        pairs: &[(Vec<i64>, Vec<i64>, bool)],
+    ) -> usize {
+        let mut eval = FineBatchObjective {
+            problem: problem.clone(),
+            dataflows: dataflows.to_vec(),
+        };
+        let parents: Vec<Vec<i64>> = pairs.iter().map(|(p, _, _)| p.clone()).collect();
+        let fresh: Vec<(&[i64], &[f64])> =
+            parents.iter().map(|g| (g.as_slice(), &[][..])).collect();
+        let priced_parents = eval.eval_children(&parents, &fresh);
+        let children: Vec<Vec<i64>> = pairs.iter().map(|(_, c, _)| c.clone()).collect();
+        let with_parents: Vec<(&[i64], &[f64])> = pairs
+            .iter()
+            .zip(&priced_parents)
+            .map(|((parent, _, keeps), (_, terms))| {
+                (
+                    parent.as_slice(),
+                    if *keeps { terms.as_slice() } else { &[][..] },
+                )
+            })
+            .collect();
+        let priced_children = eval.eval_children(&children, &with_parents);
+        let genomes = parents.iter().chain(&children);
+        for (genome, (cost, terms)) in genomes.zip(priced_parents.iter().chain(&priced_children)) {
+            let layers = decode_fine_layers(genome, dataflows);
+            let fresh = problem.evaluate_lp(&layers).map(|a| a.cost.to_bits());
+            assert_eq!(cost.map(f64::to_bits), fresh, "cost of {genome:?}");
+            assert_eq!(terms.len(), 2 * layers.len());
+            for (l, la) in layers.iter().enumerate() {
+                let report = problem.evaluate_layer(l, la.dataflow, la.point);
+                let want = [
+                    problem.objective().of(&report),
+                    problem.constraint().of(&report),
+                ];
+                assert_eq!(
+                    terms[2 * l].to_bits(),
+                    want[0].to_bits(),
+                    "layer {l} of {genome:?}"
+                );
+                assert_eq!(
+                    terms[2 * l + 1].to_bits(),
+                    want[1].to_bits(),
+                    "layer {l} of {genome:?}"
+                );
+            }
+        }
+        priced_parents
+            .iter()
+            .zip(&priced_children)
+            .filter(|((p, _), (c, _))| p.is_none() && c.is_some())
+            .count()
+    }
+
+    #[test]
+    fn fine_children_price_like_fresh_genomes_to_the_bit() {
+        use rand::Rng as _;
+        for problem in [mobilenet_v2_iot(), tiny_problem()] {
+            let n = problem.model().len();
+            let coarse = Assignment {
+                layers: vec![
+                    LayerAssignment {
+                        dataflow: Dataflow::NvdlaStyle,
+                        point: DesignPoint::new(1, 1).unwrap(),
+                    };
+                    n
+                ],
+                cost: 0.0,
+                constraint_used: 0.0,
+            };
+            let (space, lowest, dataflows) = fine_setup(&problem, &coarse);
+            let (max_pe, max_tile) = problem.actions().max_pair();
+            let hi = [max_pe as i64, 4 * max_tile as i64];
+            let ks: Vec<i64> = problem
+                .model()
+                .layers()
+                .iter()
+                .map(|l| l.k() as i64)
+                .collect();
+            let small_k: Vec<usize> = (0..n).filter(|&l| ks[l] < hi[1]).collect();
+            let mut rng = Rng::seed_from_u64(53);
+            let (mut swaps, mut tiles_above_k, mut fresh) = (0, 0, 0);
+            let mut pairs = Vec::new();
+            for _ in 0..64 {
+                let cap = [2, 8, 32, hi[0]][rng.gen_range(0..4usize)];
+                let parent: Vec<i64> = (0..2 * n)
+                    .map(|g| rng.gen_range(1..=cap.min(hi[g % 2])))
+                    .collect();
+                let mut child = parent.clone();
+                if rng.gen_bool(0.5) {
+                    let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    if a != b {
+                        child.swap(2 * a, 2 * b);
+                        child.swap(2 * a + 1, 2 * b + 1);
+                        swaps += 1;
+                    }
+                }
+                for gene in child.iter_mut() {
+                    if rng.gen_bool(0.1) {
+                        *gene += rng.gen_range(-4..=4i64);
+                    }
+                }
+                space.clamp(&mut child);
+                if !small_k.is_empty() && rng.gen_bool(0.3) {
+                    let l = small_k[rng.gen_range(0..small_k.len())];
+                    child[2 * l + 1] = rng.gen_range(ks[l] + 1..=hi[1]);
+                    tiles_above_k += 1;
+                }
+                let keeps_terms = rng.gen_bool(0.75);
+                fresh += usize::from(!keeps_terms);
+                pairs.push((parent, child, keeps_terms));
+            }
+            // An infeasible parent whose later layers its feasible child
+            // keeps: the parent's sum stops early, its terms must not.
+            let mut parent = lowest.clone();
+            for l in 0..n {
+                if problem
+                    .evaluate_lp(&decode_fine_layers(&parent, &dataflows))
+                    .is_none()
+                {
+                    break;
+                }
+                parent[2 * l] = hi[0];
+                parent[2 * l + 1] = hi[1];
+            }
+            pairs.push((parent, lowest, true));
+            let revived = check_fine_children(&problem, &dataflows, &pairs);
+            assert!(
+                swaps > 0 && tiles_above_k > 0 && fresh > 0,
+                "{swaps} {tiles_above_k} {fresh}"
+            );
+            assert!(revived > 0, "no infeasible parent had a feasible child");
+        }
     }
 
     #[test]

@@ -79,9 +79,33 @@ pub const EVAL_BATCH: usize = 256;
 /// evaluation engine (the `EvalEngine` in the `maestro` crate) must return
 /// results bit-identical to evaluating each genome alone, in order — the
 /// optimizers rely on that to stay deterministic.
+///
+/// Optimizers that breed children from parents (the [`LocalGa`]) call
+/// [`BatchEval::eval_children`] instead, so an objective that sums
+/// per-part terms can reprice only the parts a child changed.
 pub trait BatchEval<G> {
     /// Evaluates a batch of genomes.
     fn eval_batch(&mut self, genomes: &[Vec<G>]) -> Vec<Option<f64>>;
+
+    /// Evaluates children bred from known parents. `parents[i]` is the
+    /// genome `children[i]` was copied from, plus the terms this evaluator
+    /// returned for that parent (empty if there are none, which asks for
+    /// a full evaluation). Entry `i` of the result is the child's cost and
+    /// its own terms, to be handed back when the child becomes a parent.
+    ///
+    /// Costs must equal [`BatchEval::eval_batch`]'s bit for bit. The
+    /// default evaluates the children with it and returns no terms.
+    fn eval_children(
+        &mut self,
+        children: &[Vec<G>],
+        parents: &[(&[G], &[f64])],
+    ) -> Vec<(Option<f64>, Vec<f64>)> {
+        debug_assert_eq!(children.len(), parents.len(), "one parent per child");
+        self.eval_batch(children)
+            .into_iter()
+            .map(|cost| (cost, Vec::new()))
+            .collect()
+    }
 }
 
 /// Adapter running a per-genome closure serially, so every [`Optimizer`]

@@ -101,6 +101,10 @@ pub struct LocalGa {
 struct Individual {
     genome: Vec<i64>,
     cost: Option<f64>,
+    /// What the evaluator returned beside the cost (see
+    /// [`BatchEval::eval_children`]); handed back with the genome when the
+    /// individual breeds. Derived state: never serialized.
+    terms: Vec<f64>,
 }
 
 impl LocalGa {
@@ -129,9 +133,10 @@ impl LocalGa {
 
     /// [`Self::run`] with a batched evaluator. Like the generic GA,
     /// parents come only from the previous generation, so each generation
-    /// of children prices as a single batch; the seed's jittered initial
-    /// population is the first one. Outcomes are bit-identical to the
-    /// serial path.
+    /// of children goes to [`BatchEval::eval_children`] in one call, each
+    /// child with its parent and the terms the evaluator returned for
+    /// that parent; the seed's jittered initial population is the first
+    /// one. Outcomes are bit-identical to the serial path.
     pub fn run_batch(
         &self,
         space: &FineSpace,
@@ -160,16 +165,15 @@ impl LocalGa {
         assert_eq!(init.len(), space.len(), "seed width mismatch");
         let cfg = &self.config;
         let mut outcome = FineOutcome::new();
-        let seed_cost = eval
-            .eval_batch(std::slice::from_ref(&init.to_vec()))
+        // The seed is its own parent, with no terms: priced in full.
+        let seed = init.to_vec();
+        let (seed_cost, seed_terms) = eval
+            .eval_children(std::slice::from_ref(&seed), &[(init, &[])])
             .pop()
             .expect("one genome in, one cost out");
         outcome.record(init, seed_cost);
-        // First population: the seed plus local jitters of it.
-        let mut population: Vec<Individual> = vec![Individual {
-            genome: init.to_vec(),
-            cost: seed_cost,
-        }];
+        // First population: the seed plus local jitters of it, priced as
+        // its children.
         let n_jitters = (cfg.population - 1).min(budget.saturating_sub(outcome.evaluations));
         let jitters: Vec<Vec<i64>> = (0..n_jitters)
             .map(|_| {
@@ -178,10 +182,20 @@ impl LocalGa {
                 g
             })
             .collect();
-        let costs = eval.eval_batch(&jitters);
-        for (genome, cost) in jitters.into_iter().zip(costs) {
+        let parents = vec![(init, seed_terms.as_slice()); jitters.len()];
+        let priced = eval.eval_children(&jitters, &parents);
+        let mut population = vec![Individual {
+            genome: seed,
+            cost: seed_cost,
+            terms: seed_terms,
+        }];
+        for (genome, (cost, terms)) in jitters.into_iter().zip(priced) {
             outcome.record(&genome, cost);
-            population.push(Individual { genome, cost });
+            population.push(Individual {
+                genome,
+                cost,
+                terms,
+            });
         }
         FineCursor {
             population,
@@ -210,22 +224,20 @@ impl LocalGa {
         // NaN costs rank behind every finite cost, ahead only of
         // infeasible genomes, so one bad evaluation can't panic the sort.
         population.sort_by(|a, b| crate::cost_order(a.cost, b.cost));
-        let mut next: Vec<Individual> = population
-            .iter()
-            .take(cfg.elites.min(population.len()))
-            .cloned()
-            .collect();
+        let n_elites = cfg.elites.min(population.len());
         let n_children = cfg
             .population
-            .saturating_sub(next.len())
+            .saturating_sub(n_elites)
             .min(budget - outcome.evaluations);
+        // Parents are drawn from the better half (valid parents
+        // reproduce, §III-G).
+        let half = (population.len() / 2).max(1);
+        let mut parent_of = Vec::with_capacity(n_children);
         let children: Vec<Vec<i64>> = (0..n_children)
             .map(|_| {
-                // Parents are drawn from the better half (valid parents
-                // reproduce, §III-G).
-                let half = (population.len() / 2).max(1);
-                let parent = &population[rng.gen_range(0..half)];
-                let mut child = parent.genome.clone();
+                let parent = rng.gen_range(0..half);
+                parent_of.push(parent);
+                let mut child = population[parent].genome.clone();
                 if rng.gen_bool(cfg.crossover_rate.clamp(0.0, 1.0)) {
                     self.self_crossover(&mut child, rng);
                 }
@@ -233,12 +245,26 @@ impl LocalGa {
                 child
             })
             .collect();
-        let costs = eval.eval_batch(&children);
-        for (genome, cost) in children.into_iter().zip(costs) {
+        let parents: Vec<(&[i64], &[f64])> = parent_of
+            .iter()
+            .map(|&p| {
+                (
+                    population[p].genome.as_slice(),
+                    population[p].terms.as_slice(),
+                )
+            })
+            .collect();
+        let priced = eval.eval_children(&children, &parents);
+        // The next population: the elites, then the children.
+        population.truncate(n_elites);
+        for (genome, (cost, terms)) in children.into_iter().zip(priced) {
             outcome.record(&genome, cost);
-            next.push(Individual { genome, cost });
+            population.push(Individual {
+                genome,
+                cost,
+                terms,
+            });
         }
-        *population = next;
         true
     }
 
@@ -293,9 +319,31 @@ impl FineCursor {
         self.outcome
     }
 
+    /// The genomes of the current population.
+    pub fn genomes(&self) -> impl Iterator<Item = &[i64]> {
+        self.population.iter().map(|ind| ind.genome.as_slice())
+    }
+
+    /// Prices every individual afresh (as its own parent, with no terms)
+    /// to rebuild the evaluator terms that [`FineCursor::snapshot`] leaves
+    /// out. Call it on a restored cursor before stepping it, so the next
+    /// generation sees the same terms as in the uninterrupted run. Costs
+    /// stay as restored.
+    pub fn rebuild_terms(&mut self, eval: &mut dyn BatchEval<i64>) {
+        let genomes: Vec<Vec<i64>> = self.genomes().map(<[i64]>::to_vec).collect();
+        let parents: Vec<(&[i64], &[f64])> =
+            genomes.iter().map(|g| (g.as_slice(), &[][..])).collect();
+        let priced = eval.eval_children(&genomes, &parents);
+        for (ind, (_, terms)) in self.population.iter_mut().zip(priced) {
+            ind.terms = terms;
+        }
+    }
+
     /// Captures the cursor as a serializable snapshot. Floats are stored
     /// bit-for-bit (as `u64`), so a JSON round trip is exact even for the
-    /// `f64::INFINITY` trace sentinel and for NaN costs.
+    /// `f64::INFINITY` trace sentinel and for NaN costs. The evaluator
+    /// terms are derived state and are left out; see
+    /// [`FineCursor::rebuild_terms`].
     pub fn snapshot(&self) -> FineCursorState {
         FineCursorState {
             population: self
@@ -308,6 +356,9 @@ impl FineCursor {
     }
 
     /// Rebuilds a cursor from a snapshot taken by [`FineCursor::snapshot`].
+    /// The individuals come back without terms; without
+    /// [`FineCursor::rebuild_terms`] the next generation is priced in
+    /// full, with the same costs.
     pub fn restore(state: &FineCursorState) -> Self {
         FineCursor {
             population: state
@@ -316,6 +367,7 @@ impl FineCursor {
                 .map(|(genome, bits)| Individual {
                     genome: genome.clone(),
                     cost: bits.map(f64::from_bits),
+                    terms: Vec::new(),
                 })
                 .collect(),
             outcome: FineOutcome::restore(&state.outcome),
@@ -545,6 +597,139 @@ mod tests {
         assert_eq!(resumed.best, uninterrupted.best);
         let bits = |t: &[f64]| t.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&resumed.trace), bits(&uninterrupted.trace));
+    }
+
+    /// The optimum of layer `l`'s two genes is `17 + 20·l`, so the layers
+    /// stay distinct and a layer-group swap shows in the genome.
+    fn layered_cost(g: &[i64]) -> Option<f64> {
+        Some(
+            g.iter()
+                .enumerate()
+                .map(|(i, &v)| (v - 17 - 20 * (i as i64 / 2)).pow(2) as f64)
+                .sum(),
+        )
+    }
+
+    /// Prices with [`layered_cost`] and returns, as a genome's terms, the
+    /// genome itself, so every call can check the parents it is handed.
+    struct ParentChecker {
+        config: LocalGaConfig,
+        /// Children priced against a parent's terms.
+        bred: usize,
+        /// Of those, children that only match their parent after a swap.
+        swapped: usize,
+    }
+
+    impl ParentChecker {
+        /// Whether `child` is within ± `mutation_step` of `parent`, gene by
+        /// gene, either as it is (`Some(false)`) or after swapping two
+        /// layers' gene groups (`Some(true)`).
+        fn bred_from(&self, parent: &[i64], child: &[i64]) -> Option<bool> {
+            let step = self.config.mutation_step;
+            let near = |p: &[i64]| p.iter().zip(child).all(|(p, c)| (p - c).abs() <= step);
+            if near(parent) {
+                return Some(false);
+            }
+            let gpl = self.config.genes_per_layer;
+            let layers = parent.len() / gpl;
+            let swaps = (0..layers).flat_map(|a| (a + 1..layers).map(move |b| (a, b)));
+            swaps
+                .map(|(a, b)| {
+                    let mut swapped = parent.to_vec();
+                    for k in 0..gpl {
+                        swapped.swap(a * gpl + k, b * gpl + k);
+                    }
+                    swapped
+                })
+                .any(|swapped| near(&swapped))
+                .then_some(true)
+        }
+    }
+
+    impl BatchEval<i64> for ParentChecker {
+        fn eval_batch(&mut self, genomes: &[Vec<i64>]) -> Vec<Option<f64>> {
+            genomes.iter().map(|g| layered_cost(g)).collect()
+        }
+
+        fn eval_children(
+            &mut self,
+            children: &[Vec<i64>],
+            parents: &[(&[i64], &[f64])],
+        ) -> Vec<(Option<f64>, Vec<f64>)> {
+            assert_eq!(children.len(), parents.len());
+            for (child, &(parent, terms)) in children.iter().zip(parents) {
+                if terms.is_empty() {
+                    // Priced in full: the seed, or a restored individual.
+                    assert_eq!(child.as_slice(), parent);
+                    continue;
+                }
+                let decoded: Vec<i64> = terms.iter().map(|&t| t as i64).collect();
+                assert_eq!(decoded, parent, "the terms belong to another genome");
+                let swapped = self.bred_from(parent, child).unwrap_or_else(|| {
+                    panic!("{child:?} is not one swap plus small moves away from {parent:?}")
+                });
+                self.bred += 1;
+                self.swapped += usize::from(swapped);
+            }
+            children
+                .iter()
+                .map(|c| (layered_cost(c), c.iter().map(|&g| g as f64).collect()))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn children_are_priced_against_their_real_parents() {
+        let space = FineSpace::new(vec![1; 8], vec![200; 8]);
+        let seed: Vec<i64> = (0..8).map(|i| 20 * (i / 2 + 1)).collect();
+        let config = LocalGaConfig::default();
+        let ga = LocalGa::new(config.clone());
+        let budget = 600;
+        let plain = ga.run(
+            &space,
+            &seed,
+            budget,
+            layered_cost,
+            &mut Rng::seed_from_u64(48),
+        );
+
+        // Many generations: each sorts the population and keeps elites.
+        let mut checker = ParentChecker {
+            config: config.clone(),
+            bred: 0,
+            swapped: 0,
+        };
+        let checked = ga.run_batch(
+            &space,
+            &seed,
+            budget,
+            &mut checker,
+            &mut Rng::seed_from_u64(48),
+        );
+        assert_eq!(checked, plain);
+        assert_eq!(
+            checker.bred,
+            budget - 1,
+            "every child but the seed has a parent"
+        );
+        assert!(checker.swapped > 0, "no self-crossover was checked");
+
+        // Snapshot, restore and rebuild the terms between generations.
+        let mut checker = ParentChecker {
+            config,
+            bred: 0,
+            swapped: 0,
+        };
+        let mut rng = Rng::seed_from_u64(48);
+        let mut cursor = ga.start_batch(&space, &seed, budget, &mut checker, &mut rng);
+        for _ in 0..5 {
+            assert!(ga.step_generation(&space, budget, &mut cursor, &mut checker, &mut rng));
+        }
+        let mut cursor = FineCursor::restore(&cursor.snapshot());
+        cursor.rebuild_terms(&mut checker);
+        while ga.step_generation(&space, budget, &mut cursor, &mut checker, &mut rng) {}
+        assert_eq!(cursor.into_outcome(), plain);
+        assert_eq!(checker.bred, budget - 1);
     }
 
     #[test]
