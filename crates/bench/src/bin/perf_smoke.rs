@@ -606,9 +606,10 @@ fn main() {
         }
     }
     // The query count is exact and machine-independent, so it is gated
-    // whatever the hardware. The fine stage prices only the layers a GA
-    // child changed; falling back to whole genomes keeps every cost and
-    // digest bit-identical, and only this count shows it.
+    // whatever the hardware. The RL environment prices each layer once
+    // per episode, and the fine stage only the layers a GA child changed;
+    // pricing a layer again keeps every cost and digest bit-identical,
+    // and only this count shows it.
     if report.two_stage_queries > baseline.two_stage_queries {
         failures.push(format!(
             "two-stage pipeline issued {} engine queries, more than the baseline's {}",

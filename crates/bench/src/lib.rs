@@ -13,8 +13,7 @@
 //! * `--full` — run the complete row set instead of the representative
 //!   subset.
 //! * `--n-envs N` — environment replicas for vectorized RL rollouts
-//!   (default 4; `1` reproduces the serial pre-vectorization numbers
-//!   bit-for-bit).
+//!   (default 4; `1` reproduces `run_rl_search`'s numbers bit-for-bit).
 //! * `--checkpoint PATH` — in binaries that drive a two-stage search,
 //!   periodically save a resumable [`SearchCheckpoint`] to `PATH`, so a
 //!   killed run can be continued with `--resume`.

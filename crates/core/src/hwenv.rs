@@ -52,8 +52,10 @@ pub struct HwEnv {
     problem: HwProblem,
     reward_cfg: RewardConfig,
     shape_max: [f64; 6],
-    // Episode state.
+    // Episode state. `cost` and `consumed` are the LP sums of the layers
+    // assigned so far, added in layer order.
     t: usize,
+    cost: f64,
     consumed: f64,
     episode_rewards: Vec<f32>,
     partial: Vec<LayerAssignment>,
@@ -78,6 +80,7 @@ impl HwEnv {
             problem: problem.clone(),
             reward_cfg,
             t: 0,
+            cost: 0.0,
             consumed: 0.0,
             episode_rewards: Vec::new(),
             partial: Vec::new(),
@@ -178,14 +181,8 @@ impl HwEnv {
     }
 
     /// Single-step LS episode: the chosen pair is the uniform whole-model
-    /// configuration.
-    fn step_ls(&mut self, la: LayerAssignment) -> rl_core::Step {
-        let evaluated = self.problem.evaluate_ls(la.dataflow, la.point);
-        self.step_ls_with(la, evaluated)
-    }
-
-    /// LS step with an already-evaluated configuration. `evaluated` must be
-    /// exactly `problem.evaluate_ls(la.dataflow, la.point)`; the vectorized
+    /// configuration. `evaluated` must be exactly
+    /// `problem.evaluate_ls(la.dataflow, la.point)`; the vectorized
     /// environment passes results straight out of a fused
     /// [`HwProblem::evaluate_ls_batch`] (bit-identical by that method's
     /// contract) so a synchronized step never prices them twice.
@@ -262,6 +259,7 @@ impl Env for HwEnv {
 
     fn reset(&mut self) -> Vec<f32> {
         self.t = 0;
+        self.cost = 0.0;
         self.consumed = 0.0;
         self.episode_rewards.clear();
         self.partial.clear();
@@ -271,15 +269,21 @@ impl Env for HwEnv {
         self.observation()
     }
 
+    /// Prices the step once: one layer query under LP, one whole-model
+    /// configuration under LS.
     fn step(&mut self, actions: &[usize]) -> Step {
         assert!(!self.done, "step called after episode end");
         let la = self.decode_action(actions);
-        if self.problem.deployment() == crate::Deployment::LayerSequential {
-            return self.step_ls(la);
+        match self.problem.deployment() {
+            crate::Deployment::LayerPipelined => {
+                let report = self.problem.evaluate_layer(self.t, la.dataflow, la.point);
+                self.step_lp_with(actions, la, &report)
+            }
+            crate::Deployment::LayerSequential => {
+                let evaluated = self.problem.evaluate_ls(la.dataflow, la.point);
+                self.step_ls_with(la, evaluated)
+            }
         }
-        let layer_cost = self.problem.layer_cost(self.t, la);
-        let layer_constraint = self.problem.layer_constraint(self.t, la);
-        self.apply_lp_step((actions[0], actions[1]), la, layer_cost, layer_constraint)
     }
 
     fn outcome_cost(&self) -> Option<f64> {
@@ -301,24 +305,11 @@ impl HwEnv {
         report: &maestro::CostReport,
     ) -> Step {
         debug_assert!(!self.done, "step on a finished episode");
-        let layer_cost = self.problem.objective().of(report);
-        let layer_constraint = self.problem.constraint().of(report);
-        self.apply_lp_step((actions[0], actions[1]), la, layer_cost, layer_constraint)
-    }
-
-    /// The LP transition proper, once the layer's cost and constraint
-    /// consumption are known (identical float-op sequence for the serial
-    /// and vectorized paths).
-    fn apply_lp_step(
-        &mut self,
-        prev_action: (usize, usize),
-        la: LayerAssignment,
-        layer_cost: f64,
-        layer_constraint: f64,
-    ) -> Step {
+        let (layer_cost, layer_constraint) = self.problem.layer_terms(report);
+        self.cost += layer_cost;
         self.consumed += layer_constraint;
         self.partial.push(la);
-        self.prev_action = prev_action;
+        self.prev_action = (actions[0], actions[1]);
 
         if self.consumed > self.problem.budget() {
             // Constraint violated: terminate with the scale-aware penalty.
@@ -346,8 +337,16 @@ impl HwEnv {
         self.episode_rewards.push(reward);
         self.t += 1;
         if self.t >= self.problem.model().len() {
+            // The episode's sums are `HwProblem::evaluate_lp`'s, term for
+            // term and in the same order, and a completed episode never
+            // exceeded the budget: the outcome is its assignment, with no
+            // layer priced again.
             self.done = true;
-            self.outcome = self.problem.evaluate_lp(&self.partial);
+            self.outcome = Some(Assignment {
+                layers: self.partial.clone(),
+                cost: self.cost,
+                constraint_used: self.consumed,
+            });
         }
         Step {
             obs: self.observation(),

@@ -72,7 +72,7 @@ pub struct JobSpec {
     pub budget: JobBudget,
     /// Stage-1 RL algorithm.
     pub algo: AlgorithmKind,
-    /// Environment replicas rolled out in lockstep (1 = serial path).
+    /// Environment replicas rolled out in lockstep (1 = one replica).
     pub n_envs: usize,
     /// RNG seed; together with `n_envs` it fully determines the result.
     pub seed: u64,

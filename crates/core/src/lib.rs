@@ -73,9 +73,8 @@ pub use report::{format_sci, write_json, ExperimentTable};
 pub use rl_core::VecEnv;
 pub use search::{
     fine_tune, make_agent, run_baseline, run_rl_search, run_rl_search_vec,
-    run_rl_search_vec_with_reward, run_rl_search_with_reward, two_stage_search, AlgorithmKind,
-    BaselineKind, FineStageState, FineTuneResult, GlobalStageState, RlResultState, RlSearchResult,
-    SearchBudget, SearchCheckpoint, TwoStageConfig, TwoStageResult, TwoStageRunner,
-    SEARCH_CHECKPOINT_VERSION,
+    run_rl_search_vec_with_reward, two_stage_search, AlgorithmKind, BaselineKind, FineStageState,
+    FineTuneResult, GlobalStageState, RlResultState, RlSearchResult, SearchBudget,
+    SearchCheckpoint, TwoStageConfig, TwoStageResult, TwoStageRunner, SEARCH_CHECKPOINT_VERSION,
 };
 pub use vecenv::VecHwEnv;

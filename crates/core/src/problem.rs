@@ -163,10 +163,13 @@ impl HwProblem {
     /// objective, constraint = Σ per-layer constraint (each pipeline stage
     /// owns its silicon). Returns `None` if the budget is violated.
     ///
-    /// This singleton path keeps the old lazy semantics — it stops issuing
-    /// queries at the first layer that blows the budget — because the RL
-    /// environment calls it once per episode and infeasible episodes are
-    /// the common case in tight-constraint regimes.
+    /// This singleton path is lazy: it stops issuing queries at the first
+    /// layer that blows the budget. The search drivers call it to decode a
+    /// recorded best. The RL environment never calls it: [`HwEnv`] keeps
+    /// the same sums step by step, so a completed episode prices no layer
+    /// twice.
+    ///
+    /// [`HwEnv`]: crate::HwEnv
     pub fn evaluate_lp(&self, layers: &[LayerAssignment]) -> Option<Assignment> {
         assert_eq!(
             layers.len(),
@@ -195,8 +198,9 @@ impl HwProblem {
     /// The LP sum over per-layer `(objective, constraint)` terms in layer
     /// order: `Some((objective, constraint used))`, or `None` as soon as
     /// the running constraint exceeds the budget. Every LP entry point
-    /// sums through here, so their costs agree bit for bit; a lazy `terms`
-    /// iterator stops pricing at that layer.
+    /// sums through here, and the RL environment adds the same terms in
+    /// the same order as it steps, so their costs agree bit for bit; a lazy
+    /// `terms` iterator stops pricing at that layer.
     pub(crate) fn lp_sum(&self, terms: impl IntoIterator<Item = (f64, f64)>) -> Option<(f64, f64)> {
         let mut cost = 0.0;
         let mut used = 0.0;
@@ -352,8 +356,7 @@ impl HwProblem {
             .collect()
     }
 
-    /// Per-layer constraint consumption for one assignment (used by the
-    /// environment's incremental budget check).
+    /// Per-layer constraint consumption for one assignment.
     pub fn layer_constraint(&self, layer_idx: usize, la: LayerAssignment) -> f64 {
         self.core
             .constraint

@@ -182,59 +182,15 @@ pub fn make_agent(kind: AlgorithmKind, env: &HwEnv, rng: &mut Rng) -> Box<dyn Ag
 }
 
 /// Runs one RL global search (§III stage 1) and reports the best feasible
-/// assignment with its convergence trace.
+/// assignment with its convergence trace: [`run_rl_search_vec`] with one
+/// replica.
 pub fn run_rl_search(
     problem: &HwProblem,
     kind: AlgorithmKind,
     budget: SearchBudget,
     seed: u64,
 ) -> RlSearchResult {
-    run_rl_search_with_reward(problem, kind, budget, seed, RewardConfig::default())
-}
-
-/// [`run_rl_search`] with custom reward shaping (for the ablations).
-pub fn run_rl_search_with_reward(
-    problem: &HwProblem,
-    kind: AlgorithmKind,
-    budget: SearchBudget,
-    seed: u64,
-    reward: RewardConfig,
-) -> RlSearchResult {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut env = HwEnv::with_reward(problem, reward);
-    let mut agent = make_agent(kind, &env, &mut rng);
-    let stats_at_start = problem.eval_stats();
-    let start = Instant::now();
-    let mut result = RlSearchResult {
-        algorithm: kind.name().to_string(),
-        best: None,
-        trace: Vec::with_capacity(budget.epochs),
-        initial_valid_cost: None,
-        epochs_to_converge: None,
-        wall_time: Duration::ZERO,
-        param_count: agent.param_count(),
-        eval_stats: EvalStats::default(),
-    };
-    for _ in 0..budget.epochs {
-        let report = agent.train_epoch(&mut env, &mut rng);
-        // A NaN cost is treated as infeasible: it can neither seed the
-        // initial-valid metric nor become `best`.
-        if let Some(cost) = report.feasible_cost.filter(|c| !c.is_nan()) {
-            if result.initial_valid_cost.is_none() {
-                result.initial_valid_cost = Some(cost);
-            }
-            let improved = result.best.as_ref().is_none_or(|b| cost < b.cost);
-            if improved {
-                result.best = env.last_outcome().cloned();
-            }
-        }
-        result
-            .trace
-            .push(result.best.as_ref().map_or(f64::INFINITY, |b| b.cost));
-    }
-    result.wall_time = start.elapsed();
-    result.eval_stats = problem.eval_stats().since(stats_at_start);
-    result.finish()
+    run_rl_search_vec(problem, kind, budget, seed, 1)
 }
 
 /// [`run_rl_search`] with vectorized rollouts: `n_envs` replicas of the
@@ -243,10 +199,9 @@ pub fn run_rl_search_with_reward(
 ///
 /// Determinism contract: replica `i` is driven by its own RNG stream
 /// derived from `seed`, so the result is a pure function of
-/// `(seed, n_envs)`, and `n_envs = 1` is **bit-identical** to
-/// [`run_rl_search`] (asserted in `tests/seeded_determinism.rs`). The epoch budget is spent exactly:
-/// a final partial round runs with fewer live replicas if `epochs` is
-/// not a multiple of `n_envs`.
+/// `(seed, n_envs)`. The epoch budget is spent exactly: a final partial
+/// round runs with fewer live replicas if `epochs` is not a multiple of
+/// `n_envs`.
 pub fn run_rl_search_vec(
     problem: &HwProblem,
     kind: AlgorithmKind,
@@ -310,11 +265,9 @@ impl RlVecRun {
         let venv = VecHwEnv::with_reward(problem, reward, n_envs);
         let agent = make_agent(kind, venv.env(0), &mut rng);
         // One RNG stream per replica. Replica 0 continues the construction
-        // stream — exactly where the serial path would be after building the
-        // agent, which is what makes `n_envs = 1` bit-identical to
-        // `run_rl_search`. Higher replicas get independent SplitMix-salted
-        // streams derived from the same seed (never drawn from the main
-        // stream, which would perturb replica 0).
+        // stream. Higher replicas get independent SplitMix-salted streams
+        // derived from the same seed (never drawn from the main stream,
+        // which would perturb replica 0).
         let mut rngs: Vec<Rng> = Vec::with_capacity(n_envs);
         rngs.push(rng);
         for i in 1..n_envs as u64 {
@@ -349,10 +302,11 @@ impl RlVecRun {
     }
 
     /// Rebuilds a run from a [`GlobalStageState`], positioned exactly where
-    /// [`RlVecRun::checkpoint`] left off. The agent is constructed the same
-    /// way [`RlVecRun::new`] constructs it (same architecture, same
-    /// construction-RNG draws) and then overlaid with the checkpointed
-    /// weights; the per-replica streams resume from their saved positions.
+    /// [`RlVecRun::checkpoint`] left off: a fresh [`RlVecRun::new`] (same
+    /// architecture, same construction-RNG draws) overlaid with the
+    /// checkpointed reward states, agent, streams, best, trace, counters
+    /// and wall time. A state that does not fit the run is a
+    /// [`SearchError::Format`].
     fn resume(
         problem: &HwProblem,
         kind: AlgorithmKind,
@@ -382,52 +336,35 @@ impl RlVecRun {
                 state.env_reward_state_bits.len()
             )));
         }
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut venv = VecHwEnv::with_reward(problem, reward, n_envs);
+        if let Some(best) = &state.best {
+            check_fits(problem, best, "best")?;
+        }
+        let mut run = Self::new(problem, kind, budget, seed, reward, n_envs);
         let reward_states: Vec<f64> = state
             .env_reward_state_bits
             .iter()
             .map(|&b| f64::from_bits(b))
             .collect();
-        venv.restore_reward_states(&reward_states);
-        let mut agent = make_agent(kind, venv.env(0), &mut rng);
-        agent
+        run.venv.restore_reward_states(&reward_states);
+        run.agent
             .load_state(&state.agent)
             .map_err(SearchError::Format)?;
-        let rngs: Vec<Rng> = state
+        run.rngs = state
             .rng_states
             .iter()
             .map(|&s| Rng::from_state(s))
             .collect();
-        let trace: Vec<f64> = state
+        run.result.best = state.best.clone();
+        run.result.trace = state
             .trace_bits
             .iter()
             .map(|&b| f64::from_bits(b))
             .collect();
-        let remaining = budget.epochs - trace.len();
-        let param_count = agent.param_count();
-        let result = RlSearchResult {
-            algorithm: kind.name().to_string(),
-            best: state.best.clone(),
-            trace,
-            initial_valid_cost: state.initial_valid_cost_bits.map(f64::from_bits),
-            epochs_to_converge: None,
-            wall_time: Duration::ZERO,
-            param_count,
-            eval_stats: EvalStats::default(),
-        };
-        Ok(RlVecRun {
-            n_envs,
-            venv,
-            agent,
-            rngs,
-            result,
-            remaining,
-            stats_base: problem.eval_stats(),
-            stats_accum: state.eval_stats,
-            wall_accum: Duration::from_nanos(state.wall_nanos),
-            segment_start: Instant::now(),
-        })
+        run.result.initial_valid_cost = state.initial_valid_cost_bits.map(f64::from_bits);
+        run.remaining = budget.epochs - run.result.trace.len();
+        run.stats_accum = state.eval_stats;
+        run.wall_accum = Duration::from_nanos(state.wall_nanos);
+        Ok(run)
     }
 
     /// Runs one vectorized rollout round. Returns `true` while epochs
@@ -846,6 +783,24 @@ fn fine_setup(problem: &HwProblem, coarse: &Assignment) -> (FineSpace, Vec<i64>,
     (space, init, dataflows)
 }
 
+/// Checks that a checkpointed assignment (the `what` of the message) fits
+/// `problem`: an LP assignment covers every layer, an LS one is a single
+/// configuration. A checkpoint of another model fails here, at resume,
+/// instead of panicking when the assignment is priced.
+fn check_fits(problem: &HwProblem, assignment: &Assignment, what: &str) -> Result<(), SearchError> {
+    let layers = match problem.deployment() {
+        Deployment::LayerPipelined => problem.model().len(),
+        Deployment::LayerSequential => 1,
+    };
+    if assignment.layers.len() != layers {
+        return Err(SearchError::Format(format!(
+            "checkpoint's {what} assigns {} layers but the problem needs {layers}",
+            assignment.layers.len()
+        )));
+    }
+    Ok(())
+}
+
 /// In-flight state of one fine-tuning run: [`fine_tune`] re-expressed as a
 /// resumable stepper whose checkpoint granularity is one GA generation.
 struct FineRun {
@@ -908,16 +863,7 @@ impl FineRun {
         evaluations: usize,
         state: &FineStageState,
     ) -> Result<Self, SearchError> {
-        let layers = match problem.deployment() {
-            Deployment::LayerPipelined => problem.model().len(),
-            Deployment::LayerSequential => 1,
-        };
-        if coarse.layers.len() != layers {
-            return Err(SearchError::Format(format!(
-                "checkpoint's coarse best assigns {} layers but the problem needs {layers}",
-                coarse.layers.len()
-            )));
-        }
+        check_fits(problem, coarse, "coarse best")?;
         let (space, _init, dataflows) = fine_setup(problem, coarse);
         let mut cursor = FineCursor::restore(&state.cursor);
         if cursor.genomes().next().is_none() {
@@ -1048,9 +994,8 @@ pub struct TwoStageConfig {
     /// Stage-2 local-GA evaluations.
     pub fine_evaluations: usize,
     /// Stage-1 environment replicas rolled out in lockstep (see
-    /// [`run_rl_search_vec`]). `1` (the default) is the serial path,
-    /// bit-identical to pre-vectorization behavior; any value is
-    /// deterministic for a fixed seed.
+    /// [`run_rl_search_vec`]). `1` (the default) is the one-replica case
+    /// of the same rollout; any value is deterministic for a fixed seed.
     pub n_envs: usize,
 }
 
@@ -1777,6 +1722,34 @@ mod tests {
         assert_format_error(
             TwoStageRunner::resume(&mobilenet_v2_iot(), &checkpoint),
             "tiny_cnn checkpoint on mobilenet_v2",
+        );
+    }
+
+    #[test]
+    fn resume_rejects_a_global_checkpoint_of_another_model() {
+        // Ten rounds into a tiny_cnn search on Cloud there is a 6-layer
+        // best. The agent alone would load on mobilenet_v2: both problems
+        // have 10-wide observations and two 12-level heads.
+        let cloud = HwProblem::builder(dnn_models::tiny_cnn())
+            .objective(Objective::Latency)
+            .constraint(ConstraintKind::Area, PlatformClass::Cloud)
+            .deployment(Deployment::LayerPipelined)
+            .build();
+        let cfg = TwoStageConfig {
+            global_epochs: 40,
+            fine_evaluations: 60,
+            ..TwoStageConfig::default()
+        };
+        let mut runner = TwoStageRunner::new(&cloud, &cfg, 5);
+        for _ in 0..10 {
+            assert!(runner.step());
+        }
+        let checkpoint = runner.checkpoint().unwrap();
+        let global = checkpoint.global.as_ref().expect("mid-global checkpoint");
+        assert!(global.best.is_some(), "no best to check yet");
+        assert_format_error(
+            TwoStageRunner::resume(&mobilenet_v2_iot(), &checkpoint),
+            "tiny_cnn global checkpoint on mobilenet_v2",
         );
     }
 

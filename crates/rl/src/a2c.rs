@@ -1,7 +1,7 @@
 use tinynn::{Activation, Adam, Matrix, Mlp, Rng};
 
 use crate::{
-    collect_vec_rollout, discounted_returns, stack_rows, standardize, Agent, Env, EpochReport,
+    collect_vec_rollout, discounted_returns, stack_rows, standardize, Agent, EpochReport,
     PolicyBackboneKind, PolicyNet, PolicyStep, VecEnv,
 };
 
@@ -75,8 +75,7 @@ impl A2c {
         &self.critic
     }
 
-    /// Actor + critic update for one collected episode, shared by the
-    /// serial and vectorized paths (identical float-op sequence).
+    /// Actor + critic update for one collected episode.
     fn update_episode(
         &mut self,
         steps: &[PolicyStep],
@@ -130,26 +129,6 @@ impl A2c {
 }
 
 impl Agent for A2c {
-    fn train_epoch(&mut self, env: &mut dyn Env, rng: &mut Rng) -> EpochReport {
-        let mut state = self.policy.initial_state();
-        let mut obs = env.reset();
-        let mut observations: Vec<Vec<f32>> = Vec::with_capacity(env.horizon());
-        let mut steps: Vec<PolicyStep> = Vec::with_capacity(env.horizon());
-        let mut rewards: Vec<f32> = Vec::with_capacity(env.horizon());
-        loop {
-            observations.push(obs.clone());
-            let step = self.policy.act(&obs, &mut state, rng);
-            let result = env.step(&step.actions);
-            steps.push(step);
-            rewards.push(result.reward);
-            if result.done {
-                break;
-            }
-            obs = result.obs;
-        }
-        self.update_episode(&steps, &observations, &rewards, env.outcome_cost())
-    }
-
     fn train_epochs_vec(&mut self, venv: &mut dyn VecEnv, rngs: &mut [Rng]) -> Vec<EpochReport> {
         let rollout = collect_vec_rollout(&self.policy, venv, rngs);
         (0..rngs.len())
@@ -177,6 +156,7 @@ impl Agent for A2c {
 mod tests {
     use super::*;
     use crate::toy::{final_quarter_reward, PatternEnv};
+    use crate::Env;
     use tinynn::SeedableRng;
 
     #[test]

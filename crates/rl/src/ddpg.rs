@@ -1,7 +1,10 @@
 use rand::Rng as _;
 use tinynn::{Activation, Adam, Matrix, Mlp, Rng};
 
-use crate::{continuous_to_discrete, Agent, Env, EpochReport, ReplayBuffer, Transition};
+use crate::{
+    continuous_to_discrete, serial_epochs, Agent, Env, EpochReport, ReplayBuffer, Transition,
+    VecEnv,
+};
 
 /// Hyper-parameters for [`Ddpg`].
 #[derive(Debug, Clone, PartialEq)]
@@ -42,32 +45,21 @@ impl Default for DdpgConfig {
     }
 }
 
-/// Runs one episode with a deterministic-actor + additive-noise policy,
-/// binning continuous actions onto the discrete design space. Shared by
-/// DDPG and TD3.
+/// Runs one episode, binning continuous actions onto the discrete design
+/// space. `act` turns an observation into the continuous action, drawing
+/// any noise from the stream it is handed. Shared by DDPG, TD3 and SAC.
 pub(crate) fn run_continuous_episode(
     env: &mut dyn Env,
-    actor: &Mlp,
-    noise_std: f32,
     buffer: &mut ReplayBuffer,
     rng: &mut Rng,
-) -> (f32, usize) {
+    mut act: impl FnMut(&[f32], &mut Rng) -> Vec<f32>,
+) -> EpochReport {
     let dims = env.action_dims();
     let mut obs = env.reset();
     let mut total = 0.0;
     let mut steps = 0;
     loop {
-        let raw = actor.infer(&Matrix::row_from_slice(&obs));
-        let mut action: Vec<f32> = raw.data().iter().map(|v| v.tanh()).collect();
-        for a in &mut action {
-            let noise: f32 = {
-                // Box-Muller Gaussian.
-                let u1: f32 = rng.gen_range(1e-6..1.0f32);
-                let u2: f32 = rng.gen::<f32>();
-                (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-            };
-            *a = (*a + noise * noise_std).clamp(-1.0, 1.0);
-        }
+        let action = act(&obs, rng);
         let discrete: Vec<usize> = action
             .iter()
             .zip(&dims)
@@ -88,7 +80,28 @@ pub(crate) fn run_continuous_episode(
         }
         obs = result.obs;
     }
-    (total, steps)
+    EpochReport {
+        episode_reward: total,
+        feasible_cost: env.outcome_cost(),
+        steps,
+    }
+}
+
+/// The deterministic actor's tanh action plus clipped Gaussian exploration
+/// noise, one Box-Muller draw per action dimension. Shared by DDPG and TD3.
+pub(crate) fn noisy_action(actor: &Mlp, obs: &[f32], noise_std: f32, rng: &mut Rng) -> Vec<f32> {
+    let raw = actor.infer(&Matrix::row_from_slice(obs));
+    let mut action: Vec<f32> = raw.data().iter().map(|v| v.tanh()).collect();
+    for a in &mut action {
+        let noise: f32 = {
+            // Box-Muller Gaussian.
+            let u1: f32 = rng.gen_range(1e-6..1.0f32);
+            let u2: f32 = rng.gen::<f32>();
+            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+        };
+        *a = (*a + noise * noise_std).clamp(-1.0, 1.0);
+    }
+    action
 }
 
 /// Evaluates `Q(s, a)` for a batch row and returns `(q, dq_da)` where the
@@ -213,24 +226,19 @@ impl Ddpg {
 }
 
 impl Agent for Ddpg {
-    fn train_epoch(&mut self, env: &mut dyn Env, rng: &mut Rng) -> EpochReport {
-        let (total, steps) = run_continuous_episode(
-            env,
-            &self.actor,
-            self.config.noise_std,
-            &mut self.buffer,
-            rng,
-        );
-        if self.buffer.len() >= self.config.batch_size * 4 {
-            for _ in 0..self.config.updates_per_epoch {
-                self.update(rng);
+    fn train_epochs_vec(&mut self, venv: &mut dyn VecEnv, rngs: &mut [Rng]) -> Vec<EpochReport> {
+        serial_epochs(venv, rngs, |env, rng| {
+            let (actor, noise_std) = (&self.actor, self.config.noise_std);
+            let report = run_continuous_episode(env, &mut self.buffer, rng, |obs, rng| {
+                noisy_action(actor, obs, noise_std, rng)
+            });
+            if self.buffer.len() >= self.config.batch_size * 4 {
+                for _ in 0..self.config.updates_per_epoch {
+                    self.update(rng);
+                }
             }
-        }
-        EpochReport {
-            episode_reward: total,
-            feasible_cost: env.outcome_cost(),
-            steps,
-        }
+            report
+        })
     }
 
     fn name(&self) -> &'static str {

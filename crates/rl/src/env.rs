@@ -41,6 +41,38 @@ pub trait Env {
     fn outcome_cost(&self) -> Option<f64>;
 }
 
+/// A borrowed environment is an environment, so an [`EnvVec`] can wrap
+/// one it does not own (the one-replica case behind
+/// [`Agent::train_epoch`]).
+///
+/// [`EnvVec`]: crate::EnvVec
+/// [`Agent::train_epoch`]: crate::Agent::train_epoch
+impl<E: Env + ?Sized> Env for &mut E {
+    fn obs_dim(&self) -> usize {
+        (**self).obs_dim()
+    }
+
+    fn action_dims(&self) -> Vec<usize> {
+        (**self).action_dims()
+    }
+
+    fn horizon(&self) -> usize {
+        (**self).horizon()
+    }
+
+    fn reset(&mut self) -> Vec<f32> {
+        (**self).reset()
+    }
+
+    fn step(&mut self, actions: &[usize]) -> Step {
+        (**self).step(actions)
+    }
+
+    fn outcome_cost(&self) -> Option<f64> {
+        (**self).outcome_cost()
+    }
+}
+
 /// Maps a continuous action in `[-1, 1]` to a discrete level index in
 /// `0..levels`, the binning used to run DDPG/TD3/SAC on the discrete
 /// design space.

@@ -39,6 +39,7 @@ mod vec_env;
 
 pub use a2c::{A2c, A2cConfig};
 pub use acktr::{Acktr, AcktrConfig};
+pub(crate) use agent::serial_epochs;
 pub use agent::{Agent, EpochReport};
 pub use ddpg::{Ddpg, DdpgConfig};
 pub use env::{continuous_to_discrete, Env, Step};

@@ -1,6 +1,6 @@
 use tinynn::{
     categorical_entropy, sample_categorical, softmax, softmax_into, Adam, Linear, LstmBatchScratch,
-    LstmCache, LstmCell, LstmState, MatRef, Matrix, Param, Rng,
+    LstmCache, LstmCell, LstmState, Matrix, Param, Rng,
 };
 
 /// Backbone of the policy network: the paper's default is a single
@@ -106,71 +106,34 @@ impl PolicyNet {
         LstmState::zeros(1, self.hidden)
     }
 
-    fn features(&self, obs: MatRef<'_>, state: &mut LstmState) -> (Matrix, Option<LstmCache>) {
-        match &self.backbone {
-            Backbone::Rnn(cell) => {
-                let (next, cache) = cell.forward_batch(obs, state);
-                let h = next.h.clone();
-                *state = next;
-                (h, Some(cache))
-            }
-            Backbone::Mlp(l1) => (l1.forward_batch(obs).map(f32::tanh), None),
-        }
-    }
-
-    /// Samples one tuple of sub-actions, advancing the recurrent state.
+    /// Samples one tuple of sub-actions, advancing the recurrent state:
+    /// [`PolicyNet::act_batch`] on one row.
     pub fn act(&self, obs: &[f32], state: &mut LstmState, rng: &mut Rng) -> PolicyStep {
-        self.decide(obs, state, |probs| sample_categorical(probs, rng))
+        let mut scratch = PolicyScratch::new();
+        let mut steps = self.act_batch(&[obs], &mut [state], &mut [rng], &mut scratch);
+        steps.pop().expect("one step per row")
     }
 
     /// Picks the argmax action per head (evaluation mode).
     pub fn act_greedy(&self, obs: &[f32], state: &mut LstmState) -> PolicyStep {
-        self.decide(obs, state, |probs| {
+        let argmax = |_: usize, probs: &[f32]| {
             probs
                 .iter()
                 .enumerate()
                 .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probs"))
                 .map(|(i, _)| i)
                 .expect("non-empty head")
-        })
-    }
-
-    fn decide(
-        &self,
-        obs: &[f32],
-        state: &mut LstmState,
-        mut pick: impl FnMut(&[f32]) -> usize,
-    ) -> PolicyStep {
-        assert_eq!(obs.len(), self.obs_dim, "observation width mismatch");
-        // The forward runs off the borrowed row; the only owned copy of the
-        // observation is the one the step stores for backward.
-        let (features, lstm_cache) = self.features(MatRef::row(obs), state);
-        let mut probs = Vec::with_capacity(self.heads.len());
-        let mut actions = Vec::with_capacity(self.heads.len());
-        let mut log_prob = 0.0;
-        for head in &self.heads {
-            let logits = head.forward(&features);
-            let p = softmax(&logits);
-            let a = pick(p.row(0));
-            log_prob += p.get(0, a).max(1e-12).ln();
-            probs.push(p.row(0).to_vec());
-            actions.push(a);
-        }
-        PolicyStep {
-            obs: Matrix::row_from_slice(obs),
-            features,
-            lstm_cache,
-            probs,
-            actions,
-            log_prob,
-        }
+        };
+        let mut scratch = PolicyScratch::new();
+        let mut steps = self.decide_batch(&[obs], &mut [state], &mut scratch, argmax);
+        steps.pop().expect("one step per row")
     }
 
     /// Samples one tuple of sub-actions per replica from a single batched
     /// backbone+head forward. Replica `r`'s actions are drawn from its own
-    /// `rngs[r]` stream in head order, so each replica consumes exactly the
-    /// random draws a serial [`PolicyNet::act`] would have — results are
-    /// bit-identical per replica, batching only changes the GEMM shape.
+    /// `rngs[r]` stream in head order, so each replica consumes the same
+    /// draws whatever the batch around it — batching only changes the
+    /// GEMM shape.
     pub fn act_batch(
         &self,
         obs: &[&[f32]],
@@ -178,10 +141,26 @@ impl PolicyNet {
         rngs: &mut [&mut Rng],
         scratch: &mut PolicyScratch,
     ) -> Vec<PolicyStep> {
+        assert_eq!(rngs.len(), obs.len(), "one RNG stream per replica");
+        self.decide_batch(obs, states, scratch, |r, probs| {
+            sample_categorical(probs, rngs[r])
+        })
+    }
+
+    /// The one decision routine behind [`PolicyNet::act_batch`],
+    /// [`PolicyNet::act`] and [`PolicyNet::act_greedy`]: a batched
+    /// backbone+head forward over the rows, then `pick(row, probs)` chooses
+    /// each row's action head by head, in ascending head order.
+    fn decide_batch(
+        &self,
+        obs: &[&[f32]],
+        states: &mut [&mut LstmState],
+        scratch: &mut PolicyScratch,
+        mut pick: impl FnMut(usize, &[f32]) -> usize,
+    ) -> Vec<PolicyStep> {
         let k = obs.len();
         assert!(k > 0, "act_batch needs at least one replica");
         assert_eq!(states.len(), k, "one recurrent state per replica");
-        assert_eq!(rngs.len(), k, "one RNG stream per replica");
         let PolicyScratch {
             obs: obs_buf,
             prev,
@@ -242,7 +221,7 @@ impl PolicyNet {
             softmax_into(logits, probs);
             for (r, step) in steps.iter_mut().enumerate() {
                 let prow = probs.row(r);
-                let a = sample_categorical(prow, rngs[r]);
+                let a = pick(r, prow);
                 step.log_prob += prow[a].max(1e-12).ln();
                 step.probs.push(prow.to_vec());
                 step.actions.push(a);
@@ -552,6 +531,62 @@ mod tests {
         let replayed = policy.replay_log_probs(&steps);
         for (step, (lp, _)) in steps.iter().zip(&replayed) {
             assert!((step.log_prob - lp).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn act_batch_rows_match_one_row_calls_bit_for_bit() {
+        // Six rows span a full 4-row GEMM block plus a partial one; three
+        // steps carry distinct recurrent states from row to row.
+        const ROWS: usize = 6;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut init = rng();
+        for kind in [PolicyBackboneKind::Rnn, PolicyBackboneKind::Mlp] {
+            let policy = PolicyNet::new(5, &[7, 4, 3], kind, 16, &mut init);
+            let mut batch_states: Vec<LstmState> =
+                (0..ROWS).map(|_| policy.initial_state()).collect();
+            let mut row_states = batch_states.clone();
+            let mut batch_rngs: Vec<Rng> = (0..ROWS as u64).map(Rng::seed_from_u64).collect();
+            let mut row_rngs = batch_rngs.clone();
+            let mut scratch = PolicyScratch::new();
+            for t in 0..3 {
+                let obs: Vec<Vec<f32>> = (0..ROWS)
+                    .map(|r| {
+                        (0..5)
+                            .map(|j| ((r * 7 + j * 3 + t * 5) % 11) as f32 / 5.0 - 1.0)
+                            .collect()
+                    })
+                    .collect();
+                let obs_refs: Vec<&[f32]> = obs.iter().map(Vec::as_slice).collect();
+                let mut state_refs: Vec<&mut LstmState> = batch_states.iter_mut().collect();
+                let mut rng_refs: Vec<&mut Rng> = batch_rngs.iter_mut().collect();
+                let batch =
+                    policy.act_batch(&obs_refs, &mut state_refs, &mut rng_refs, &mut scratch);
+                for r in 0..ROWS {
+                    let one = policy.act(&obs[r], &mut row_states[r], &mut row_rngs[r]);
+                    let what = format!("{kind:?} step {t} row {r}");
+                    assert_eq!(one.actions, batch[r].actions, "{what}");
+                    assert_eq!(
+                        one.log_prob.to_bits(),
+                        batch[r].log_prob.to_bits(),
+                        "{what}"
+                    );
+                    for (a, b) in one.probs.iter().zip(&batch[r].probs) {
+                        assert_eq!(bits(a), bits(b), "{what}");
+                    }
+                    assert_eq!(one.probs.len(), batch[r].probs.len(), "{what}");
+                    assert_eq!(
+                        bits(row_states[r].h.data()),
+                        bits(batch_states[r].h.data()),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        bits(row_states[r].c.data()),
+                        bits(batch_states[r].c.data()),
+                        "{what}"
+                    );
+                }
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 use tinynn::{Activation, Adam, Matrix, Mlp, Rng};
 
 use crate::{
-    collect_vec_rollout, discounted_returns, stack_rows, standardize, Agent, Env, EpochReport,
+    collect_vec_rollout, discounted_returns, stack_rows, standardize, Agent, EpochReport,
     PolicyBackboneKind, PolicyNet, PolicyStep, VecEnv,
 };
 
@@ -156,8 +156,7 @@ impl Ppo {
         self.buffer.clear();
     }
 
-    /// Buffers one collected episode and flushes an update batch when full;
-    /// shared by the serial and vectorized paths.
+    /// Buffers one collected episode and flushes an update batch when full.
     fn buffer_episode(
         &mut self,
         steps: Vec<PolicyStep>,
@@ -186,32 +185,9 @@ impl Ppo {
 }
 
 impl Agent for Ppo {
-    fn train_epoch(&mut self, env: &mut dyn Env, rng: &mut Rng) -> EpochReport {
-        let mut state = self.policy.initial_state();
-        let mut obs = env.reset();
-        let mut observations = Vec::with_capacity(env.horizon());
-        let mut steps: Vec<PolicyStep> = Vec::with_capacity(env.horizon());
-        let mut rewards = Vec::with_capacity(env.horizon());
-        loop {
-            observations.push(obs.clone());
-            let step = self.policy.act(&obs, &mut state, rng);
-            let result = env.step(&step.actions);
-            steps.push(step);
-            rewards.push(result.reward);
-            if result.done {
-                break;
-            }
-            obs = result.obs;
-        }
-        let feasible_cost = env.outcome_cost();
-        self.buffer_episode(steps, observations, &rewards, feasible_cost)
-    }
-
     fn train_epochs_vec(&mut self, venv: &mut dyn VecEnv, rngs: &mut [Rng]) -> Vec<EpochReport> {
         // Episodes are collected under one policy snapshot, then buffered
-        // in replica order; a mid-round flush only touches buffered data,
-        // so the order of updates matches feeding the same episodes
-        // serially.
+        // in replica order; a mid-round flush only touches buffered data.
         let rollout = collect_vec_rollout(&self.policy, venv, rngs);
         rollout
             .steps
@@ -239,6 +215,7 @@ impl Agent for Ppo {
 mod tests {
     use super::*;
     use crate::toy::{final_quarter_reward, PatternEnv};
+    use crate::Env;
     use tinynn::SeedableRng;
 
     #[test]

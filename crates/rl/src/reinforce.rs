@@ -90,8 +90,7 @@ impl Reinforce {
         actions
     }
 
-    /// The policy-gradient update for one collected episode, shared by the
-    /// serial and vectorized paths (identical float-op sequence).
+    /// The policy-gradient update for one collected episode.
     fn update_episode(
         &mut self,
         steps: &[PolicyStep],
@@ -124,7 +123,7 @@ impl Reinforce {
 }
 
 /// The serializable training state of a [`Reinforce`] agent: everything
-/// [`Agent::train_epoch`] mutates. Weights and Adam moments are finite in
+/// [`Agent::train_epochs_vec`] mutates. Weights and Adam moments are finite in
 /// any run that hasn't already diverged (gradients are norm-clipped), so
 /// the f32 ⇄ f64 JSON round trip is exact; the EMA baseline is stored as
 /// raw bits anyway since it feeds the next update directly.
@@ -136,24 +135,6 @@ struct ReinforceState {
 }
 
 impl Agent for Reinforce {
-    fn train_epoch(&mut self, env: &mut dyn Env, rng: &mut Rng) -> EpochReport {
-        let mut state = self.policy.initial_state();
-        let mut obs = env.reset();
-        let mut steps: Vec<PolicyStep> = Vec::with_capacity(env.horizon());
-        let mut rewards: Vec<f32> = Vec::with_capacity(env.horizon());
-        loop {
-            let step = self.policy.act(&obs, &mut state, rng);
-            let result = env.step(&step.actions);
-            steps.push(step);
-            rewards.push(result.reward);
-            if result.done {
-                break;
-            }
-            obs = result.obs;
-        }
-        self.update_episode(&steps, &rewards, env.outcome_cost())
-    }
-
     fn train_epochs_vec(&mut self, venv: &mut dyn VecEnv, rngs: &mut [Rng]) -> Vec<EpochReport> {
         let rollout = collect_vec_rollout(&self.policy, venv, rngs);
         rollout

@@ -1,8 +1,8 @@
 use rand::Rng as _;
 use tinynn::{Activation, Adam, Matrix, Mlp, Rng};
 
-use crate::ddpg::q_and_grad_wrt_action;
-use crate::{continuous_to_discrete, Agent, Env, EpochReport, ReplayBuffer, Transition};
+use crate::ddpg::{q_and_grad_wrt_action, run_continuous_episode};
+use crate::{serial_epochs, Agent, EpochReport, ReplayBuffer, Transition, VecEnv};
 
 /// Hyper-parameters for [`Sac`].
 #[derive(Debug, Clone, PartialEq)]
@@ -218,45 +218,20 @@ impl Sac {
 }
 
 impl Agent for Sac {
-    fn train_epoch(&mut self, env: &mut dyn Env, rng: &mut Rng) -> EpochReport {
-        let dims = env.action_dims();
-        let mut obs = env.reset();
-        let mut total = 0.0;
-        let mut steps = 0;
-        loop {
-            let raw = self.actor.infer(&Matrix::row_from_slice(&obs));
-            let sample = Self::sample_squashed(&raw, self.action_dim, rng);
-            let discrete: Vec<usize> = sample
-                .action
-                .iter()
-                .zip(&dims)
-                .map(|(&a, &n)| continuous_to_discrete(a, n))
-                .collect();
-            let result = env.step(&discrete);
-            self.buffer.push(Transition {
-                obs: obs.clone(),
-                action: sample.action,
-                reward: result.reward,
-                next_obs: result.obs.clone(),
-                done: result.done,
+    fn train_epochs_vec(&mut self, venv: &mut dyn VecEnv, rngs: &mut [Rng]) -> Vec<EpochReport> {
+        serial_epochs(venv, rngs, |env, rng| {
+            let (actor, action_dim) = (&self.actor, self.action_dim);
+            let report = run_continuous_episode(env, &mut self.buffer, rng, |obs, rng| {
+                let raw = actor.infer(&Matrix::row_from_slice(obs));
+                Self::sample_squashed(&raw, action_dim, rng).action
             });
-            total += result.reward;
-            steps += 1;
-            if result.done {
-                break;
+            if self.buffer.len() >= self.config.batch_size * 4 {
+                for _ in 0..self.config.updates_per_epoch {
+                    self.update(rng);
+                }
             }
-            obs = result.obs;
-        }
-        if self.buffer.len() >= self.config.batch_size * 4 {
-            for _ in 0..self.config.updates_per_epoch {
-                self.update(rng);
-            }
-        }
-        EpochReport {
-            episode_reward: total,
-            feasible_cost: env.outcome_cost(),
-            steps,
-        }
+            report
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -272,6 +247,7 @@ impl Agent for Sac {
 mod tests {
     use super::*;
     use crate::toy::PatternEnv;
+    use crate::Env;
     use tinynn::SeedableRng;
 
     #[test]

@@ -1,8 +1,8 @@
 use rand::Rng as _;
 use tinynn::{Activation, Adam, Matrix, Mlp, Rng};
 
-use crate::ddpg::{q_and_grad_wrt_action, run_continuous_episode};
-use crate::{Agent, Env, EpochReport, ReplayBuffer, Transition};
+use crate::ddpg::{noisy_action, q_and_grad_wrt_action, run_continuous_episode};
+use crate::{serial_epochs, Agent, EpochReport, ReplayBuffer, Transition, VecEnv};
 
 /// Hyper-parameters for [`Td3`].
 #[derive(Debug, Clone, PartialEq)]
@@ -193,24 +193,19 @@ impl Td3 {
 }
 
 impl Agent for Td3 {
-    fn train_epoch(&mut self, env: &mut dyn Env, rng: &mut Rng) -> EpochReport {
-        let (total, steps) = run_continuous_episode(
-            env,
-            &self.actor,
-            self.config.noise_std,
-            &mut self.buffer,
-            rng,
-        );
-        if self.buffer.len() >= self.config.batch_size * 4 {
-            for _ in 0..self.config.updates_per_epoch {
-                self.update(rng);
+    fn train_epochs_vec(&mut self, venv: &mut dyn VecEnv, rngs: &mut [Rng]) -> Vec<EpochReport> {
+        serial_epochs(venv, rngs, |env, rng| {
+            let (actor, noise_std) = (&self.actor, self.config.noise_std);
+            let report = run_continuous_episode(env, &mut self.buffer, rng, |obs, rng| {
+                noisy_action(actor, obs, noise_std, rng)
+            });
+            if self.buffer.len() >= self.config.batch_size * 4 {
+                for _ in 0..self.config.updates_per_epoch {
+                    self.update(rng);
+                }
             }
-        }
-        EpochReport {
-            episode_reward: total,
-            feasible_cost: env.outcome_cost(),
-            steps,
-        }
+            report
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -226,6 +221,7 @@ impl Agent for Td3 {
 mod tests {
     use super::*;
     use crate::toy::PatternEnv;
+    use crate::Env;
     use tinynn::SeedableRng;
 
     #[test]

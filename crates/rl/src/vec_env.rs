@@ -2,11 +2,15 @@
 //! in lockstep, so each synchronized step can price its N cost queries as
 //! one batch (the same lever batched GA generations already pull).
 //!
+//! This is the only rollout path: a single environment is the one-replica
+//! case (see [`Agent::train_epoch`]).
+//!
 //! The determinism contract is **one RNG stream per replica**: replica `i`
-//! is driven exclusively by `rngs[i]`, so a vectorized rollout with
-//! `n_envs = 1` is bit-identical to the serial single-env path, and any
-//! `n_envs` is a pure function of the seed set (independent of thread
-//! count, scheduling, or which replicas finish first).
+//! is driven exclusively by `rngs[i]`, so any `n_envs` is a pure function
+//! of the seed set (independent of thread count, scheduling, or which
+//! replicas finish first).
+//!
+//! [`Agent::train_epoch`]: crate::Agent::train_epoch
 
 use tinynn::{LstmState, Rng};
 
@@ -23,9 +27,9 @@ use crate::{Env, PolicyNet, PolicyScratch, PolicyStep, Step};
 ///
 /// * **Synchronized** — [`VecEnv::reset_first`] + [`VecEnv::step_all`],
 ///   used by batched rollout collection.
-/// * **Per-replica** — [`VecEnv::reset_one`] + [`VecEnv::step_one`], the
-///   serial fallback used through [`EnvSlot`] by agents without a batched
-///   rollout implementation (the off-policy DDPG/SAC/TD3 family).
+/// * **Per-replica** — [`VecEnv::reset_one`] + [`VecEnv::step_one`], used
+///   through [`EnvSlot`] by agents that update between episodes (the
+///   off-policy DDPG/SAC/TD3 family).
 pub trait VecEnv {
     /// Number of replicas.
     fn n_envs(&self) -> usize;
@@ -65,10 +69,10 @@ pub trait VecEnv {
     /// malformed.
     fn step_all(&mut self, actions: &[Vec<usize>]) -> Vec<Step>;
 
-    /// Starts a new episode in replica `i` only (serial path).
+    /// Starts a new episode in replica `i` only (per-replica access).
     fn reset_one(&mut self, i: usize) -> Vec<f32>;
 
-    /// Steps replica `i` only (serial path, no batching).
+    /// Steps replica `i` only (per-replica access, no batching).
     fn step_one(&mut self, i: usize, actions: &[usize]) -> Step;
 
     /// Whether replica `i`'s current episode has ended.
@@ -79,9 +83,8 @@ pub trait VecEnv {
     fn outcome_cost(&self, i: usize) -> Option<f64>;
 }
 
-/// Adapter exposing one replica of a [`VecEnv`] as a plain [`Env`], so
-/// agents without a batched rollout override run unchanged (and
-/// bit-identically) through the vectorized interface.
+/// Adapter exposing one replica of a [`VecEnv`] as a plain [`Env`], so an
+/// agent can step the replicas one at a time.
 pub struct EnvSlot<'a> {
     venv: &'a mut (dyn VecEnv + 'a),
     index: usize,
@@ -245,15 +248,11 @@ pub struct VecRollout {
 /// out of the synchronized loop; the rest keep stepping until every
 /// episode ends.
 ///
-/// With `rngs.len() == 1` this performs exactly the same operations, in
-/// the same order, as the serial per-episode loop in `Agent::train_epoch`
-/// — that is the `n_envs = 1` bit-identity guarantee.
-///
-/// Each synchronized step runs **one** batched backbone+head forward over
-/// the live replicas ([`PolicyNet::act_batch`]): policy weights stream
-/// through cache once per step instead of once per replica, and replica
-/// `i` still samples from `rngs[i]` alone, so per-replica results stay
-/// bit-identical to serial `policy.act` calls.
+/// This is every on-policy agent's only rollout. Each synchronized step
+/// runs **one** batched backbone+head forward over the live replicas
+/// ([`PolicyNet::act_batch`]): policy weights stream through cache once
+/// per step instead of once per replica, and replica `i` samples from
+/// `rngs[i]` alone, so its episode does not depend on the other replicas.
 pub fn collect_vec_rollout(
     policy: &PolicyNet,
     venv: &mut dyn VecEnv,
@@ -316,7 +315,7 @@ pub fn collect_vec_rollout(
 mod tests {
     use super::*;
     use crate::toy::PatternEnv;
-    use crate::{Agent, PolicyBackboneKind, Reinforce, ReinforceConfig};
+    use crate::PolicyBackboneKind;
     use tinynn::SeedableRng;
 
     fn small_policy(env: &PatternEnv, seed: u64) -> PolicyNet {
@@ -398,8 +397,8 @@ mod tests {
 
     #[test]
     fn single_replica_rollout_matches_serial_episode() {
-        // The n_envs = 1 bit-identity contract, exercised on the collector
-        // itself: same policy, same RNG stream, same episode.
+        // One replica through the collector is an episode stepped by hand
+        // with `act`: same policy, same RNG stream, same episode.
         let env = PatternEnv::new(5, vec![3, 2]);
         let policy = small_policy(&env, 11);
 
@@ -444,38 +443,5 @@ mod tests {
             };
             assert_eq!(acts(&a), acts(&b));
         }
-    }
-
-    #[test]
-    fn vec_training_with_one_replica_matches_serial_training() {
-        // Full-agent bit-identity: train one REINFORCE serially and a twin
-        // through the vectorized API with n_envs = 1; every report and the
-        // final greedy policies must agree exactly.
-        let env = PatternEnv::new(4, vec![3]);
-        let config = ReinforceConfig {
-            backbone: PolicyBackboneKind::Mlp,
-            hidden: 8,
-            ..ReinforceConfig::default()
-        };
-        let mut rng_a = Rng::seed_from_u64(9);
-        let mut agent_a =
-            Reinforce::new(env.obs_dim(), env.action_dims(), config.clone(), &mut rng_a);
-        let mut rng_b = Rng::seed_from_u64(9);
-        let mut agent_b = Reinforce::new(env.obs_dim(), env.action_dims(), config, &mut rng_b);
-
-        let mut serial_env = env.clone();
-        let mut venv = EnvVec::new(vec![env.clone()]);
-        let mut rngs = vec![rng_b];
-        for _ in 0..30 {
-            let ra = agent_a.train_epoch(&mut serial_env, &mut rng_a);
-            let rb = agent_b.train_epochs_vec(&mut venv, &mut rngs);
-            assert_eq!(vec![ra], rb);
-        }
-        let mut ea = env.clone();
-        let mut eb = env;
-        assert_eq!(
-            agent_a.greedy_episode(&mut ea),
-            agent_b.greedy_episode(&mut eb)
-        );
     }
 }

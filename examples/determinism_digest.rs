@@ -8,30 +8,9 @@
 
 use confuciux::{
     run_rl_search_vec, two_stage_search, AlgorithmKind, ConstraintKind, CostOracle, Deployment,
-    HwProblem, Objective, PlatformClass, SearchBudget, TwoStageConfig,
+    Fnv, HwProblem, Objective, PlatformClass, SearchBudget, TwoStageConfig,
 };
 use maestro::{Dataflow, DesignPoint, EvalQuery};
-
-/// FNV-1a over a stream of u64s: a stable, dependency-free checksum for
-/// long bit sequences (traces, report fields).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn push(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 fn main() {
     let problem = HwProblem::builder(dnn_models::tiny_cnn())

@@ -4,9 +4,9 @@
 //! because every table/figure binary reports seed-tagged numbers.
 
 use confuciux::{
-    run_rl_search, run_rl_search_vec, two_stage_search, AlgorithmKind, ConstraintKind, Deployment,
-    HwProblem, Objective, PlatformClass, RlSearchResult, SearchBudget, SearchCheckpoint,
-    TwoStageConfig, TwoStageResult, TwoStageRunner,
+    run_rl_search_vec, two_stage_search, AlgorithmKind, ConstraintKind, Deployment, HwProblem,
+    Objective, PlatformClass, RlSearchResult, SearchBudget, SearchCheckpoint, TwoStageConfig,
+    TwoStageResult, TwoStageRunner,
 };
 use maestro::Dataflow;
 
@@ -108,25 +108,6 @@ fn assert_same_search(a: &RlSearchResult, b: &RlSearchResult) {
     assert_eq!(a.epochs_to_converge, b.epochs_to_converge);
     assert_eq!(a.param_count, b.param_count);
     assert_eq!(a.eval_stats, b.eval_stats, "hit/miss counters differ");
-}
-
-#[test]
-fn vectorized_rollout_with_one_replica_is_bit_identical_to_serial() {
-    // The tentpole contract of the VecEnv subsystem: `n_envs = 1` must
-    // reproduce the pre-vectorization serial `run_rl_search` exactly —
-    // same episodes, same updates, same RNG stream, and (because a
-    // single-replica round never batches) the same hit/miss counters.
-    // Covered per agent family: REINFORCE (batched-rollout override),
-    // PPO2 (buffered episodes), DDPG (off-policy serial fallback).
-    for (kind, epochs) in [
-        (AlgorithmKind::Reinforce, 60),
-        (AlgorithmKind::Ppo2, 40),
-        (AlgorithmKind::Ddpg, 16),
-    ] {
-        let serial = run_rl_search(&problem(), kind, SearchBudget { epochs }, 42);
-        let vec1 = run_rl_search_vec(&problem(), kind, SearchBudget { epochs }, 42, 1);
-        assert_same_search(&serial, &vec1);
-    }
 }
 
 #[test]
