@@ -81,13 +81,17 @@ const UPDATE_EPISODES: usize = 40;
 /// [`POLICY_PAIRS`] interleaved serial/batch pairs. Both sides run
 /// single-threaded on this machine, so the ratio is hardware-local and
 /// gates on every machine class. The bit-exactness contract pins the LSTM
-/// gate nonlinearities to the same scalar libm `exp`/`tanh` calls on both
-/// paths (~5 per hidden unit per step), which bounds the fair-fight ratio
-/// well below the GEMM ratio; the floor locks in the batching win without
-/// inviting a bit-breaking "fast math" fix to clear an impossible bar.
-/// Twenty-seven runs on the 2-vCPU dev VM gave medians of 1.20–1.49x
-/// (single pairs 0.68–1.93x); the floor sits below the medians' whole
-/// spread.
+/// gate nonlinearities to the same calls on both paths: `tanh` is
+/// `tinynn`'s own host-identical port, run lane-wide over whole rows, and
+/// `exp` stays the scalar libm call (3 per hidden unit per step), since
+/// glibc picks its `expf` build by CPU features and no port matches it on
+/// every CPU. These per-row costs bound the fair-fight ratio well below
+/// the GEMM ratio; the floor locks in the batching win without inviting a
+/// bit-breaking "fast math" fix to clear an impossible bar. Twenty-seven
+/// runs on the 2-vCPU dev VM gave medians of 1.20–1.49x (single pairs
+/// 0.68–1.93x) with libm `tanh`; with the port, three runs gave
+/// 1.40–1.49x against 1.14–1.17x for libm `tanh` runs interleaved with
+/// them. The floor sits below the medians' whole spread.
 const POLICY_MIN_SPEEDUP: f64 = 1.10;
 /// Interleaved serial/batch repetitions behind `policy_batch_speedup`.
 const POLICY_PAIRS: usize = 15;

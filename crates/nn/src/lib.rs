@@ -28,6 +28,7 @@ mod linear;
 mod lstm;
 mod matrix;
 mod mlp;
+mod tanh;
 
 pub use adam::Adam;
 pub use dist::{
@@ -38,6 +39,7 @@ pub use linear::Linear;
 pub use lstm::{LstmBatchScratch, LstmCache, LstmCell, LstmState};
 pub use matrix::{MatRef, Matrix};
 pub use mlp::{Activation, Mlp, MlpCache, MlpScratch};
+pub use tanh::{tanh, tanh_in_place};
 
 /// The RNG used throughout the crate (re-exported so callers don't need a
 /// direct `rand` dependency for seeding).

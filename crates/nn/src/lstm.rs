@@ -170,7 +170,9 @@ impl LstmCell {
     /// zero allocations once the scratch has warmed up. The arithmetic is
     /// the serial forward's, element for element: gates accumulate as
     /// `(x·Wx + h·Wh) + b` in that order, so results are bit-identical to
-    /// per-row serial calls.
+    /// per-row serial calls. One pass per row forms the gate pre-activations
+    /// and writes the `i/f/g/o/c'/tanh(c')/h'` rows; `tanh` runs lane-wide
+    /// over whole rows through [`crate::tanh_in_place`].
     pub fn forward_batch_into(
         &self,
         x: MatRef<'_>,
@@ -182,8 +184,6 @@ impl LstmCell {
         assert_eq!(state.h.rows(), batch, "state batch mismatch");
         x.matmul_into(&self.wx.w, &mut scratch.gates);
         state.h.matmul_into(&self.wh.w, &mut scratch.hh);
-        scratch.gates.add_assign(&scratch.hh);
-        scratch.gates.add_row_broadcast_assign(&self.b.w);
         scratch.i.reset_to(batch, h);
         scratch.f.reset_to(batch, h);
         scratch.g.reset_to(batch, h);
@@ -191,23 +191,47 @@ impl LstmCell {
         scratch.c_new.reset_to(batch, h);
         scratch.tanh_c_new.reset_to(batch, h);
         scratch.h_new.reset_to(batch, h);
+        let LstmBatchScratch {
+            gates,
+            hh,
+            i,
+            f,
+            g,
+            o,
+            c_new,
+            tanh_c_new,
+            h_new,
+        } = scratch;
         for r in 0..batch {
-            let grow = scratch.gates.row(r);
-            let crow = state.c.row(r);
-            for j in 0..h {
-                let iv = sigmoid(grow[j]);
-                let fv = sigmoid(grow[h + j]);
-                let gv = grow[2 * h + j].tanh();
-                let ov = sigmoid(grow[3 * h + j]);
-                let cv = fv * crow[j] + iv * gv;
-                let tv = cv.tanh();
-                scratch.i.set(r, j, iv);
-                scratch.f.set(r, j, fv);
-                scratch.g.set(r, j, gv);
-                scratch.o.set(r, j, ov);
-                scratch.c_new.set(r, j, cv);
-                scratch.tanh_c_new.set(r, j, tv);
-                scratch.h_new.set(r, j, ov * tv);
+            let pre = gates.row_mut(r);
+            for ((z, hz), bz) in pre.iter_mut().zip(hh.row(r)).zip(self.b.w.data()) {
+                *z = (*z + hz) + bz;
+            }
+            let pre: &[f32] = pre;
+            let [pi, pf, pg, po] = [0, 1, 2, 3].map(|q| &pre[q * h..(q + 1) * h]);
+            let (ir, fr, gr, or) = (i.row_mut(r), f.row_mut(r), g.row_mut(r), o.row_mut(r));
+            for (out, p) in [(&mut *ir, pi), (&mut *fr, pf), (&mut *or, po)] {
+                for (y, &v) in out.iter_mut().zip(p) {
+                    *y = sigmoid(v);
+                }
+            }
+            gr.copy_from_slice(pg);
+            crate::tanh_in_place(gr);
+            let cr = c_new.row_mut(r);
+            for ((((c, &fv), &cv), &iv), &gv) in cr
+                .iter_mut()
+                .zip(&*fr)
+                .zip(state.c.row(r))
+                .zip(&*ir)
+                .zip(&*gr)
+            {
+                *c = fv * cv + iv * gv;
+            }
+            let tr = tanh_c_new.row_mut(r);
+            tr.copy_from_slice(cr);
+            crate::tanh_in_place(tr);
+            for ((hv, &ov), &tv) in h_new.row_mut(r).iter_mut().zip(&*or).zip(&*tr) {
+                *hv = ov * tv;
             }
         }
     }
@@ -321,6 +345,8 @@ impl LstmCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::tests::naive_nn;
+    use crate::tanh::tests::oracle_tanhf;
     use crate::SeedableRng;
     use proptest::prelude::*;
     use rand::Rng as _;
@@ -474,6 +500,81 @@ mod tests {
 
     fn random_row(rng: &mut Rng, n: usize, lo: f32, hi: f32) -> Matrix {
         Matrix::from_vec(1, n, (0..n).map(|_| value_or_zero(rng, lo, hi)).collect())
+    }
+
+    /// `rows` stacked [`random_row`]s.
+    fn random_rows(rng: &mut Rng, rows: usize, n: usize, lo: f32, hi: f32) -> Matrix {
+        let data = (0..rows)
+            .flat_map(|_| random_row(rng, n, lo, hi).data().to_vec())
+            .collect();
+        Matrix::from_vec(rows, n, data)
+    }
+
+    /// The gate pass equals, to the bit, an element-wise reference built
+    /// from the naive GEMM, `sigmoid` and the fdlibm oracle `tanh`, at
+    /// batch 1, 4, 5 and 64 through one reused scratch. Signed zeros are
+    /// planted in the inputs, states and biases; an all-`-0.0` input and
+    /// state row leaves the gates equal to the biases, some of which are
+    /// set to ±0.0 and to magnitudes ≥ 22, and the cell states reach ±40.
+    #[test]
+    fn forward_batch_into_matches_elementwise_reference() {
+        let mut rng = Rng::seed_from_u64(15);
+        let mut scratch = LstmBatchScratch::new();
+        for (batch, hidden) in [(1, 13), (4, 128), (5, 13), (64, 128)] {
+            let input = 10;
+            let mut cell = LstmCell::new(input, hidden, &mut rng);
+            for (q, b) in cell.b.w.data_mut().iter_mut().enumerate() {
+                match q % 7 {
+                    0 => *b = -0.0,
+                    1 => *b = 0.0,
+                    2 => *b = 25.0,
+                    3 => *b = -30.0,
+                    _ => {}
+                }
+            }
+            let mut x = random_rows(&mut rng, batch, input, -3.0, 3.0);
+            let mut state = LstmState {
+                h: random_rows(&mut rng, batch, hidden, -1.0, 1.0),
+                c: random_rows(&mut rng, batch, hidden, -40.0, 40.0),
+            };
+            x.row_mut(0).fill(-0.0);
+            state.h.row_mut(0).fill(-0.0);
+            cell.forward_batch_into(x.view(), &state, &mut scratch);
+
+            let xw = naive_nn(&x, &cell.wx.w);
+            let hh = naive_nn(&state.h, &cell.wh.w);
+            let mut saturated = 0;
+            for r in 0..batch {
+                for j in 0..hidden {
+                    let pre = |gate: usize| {
+                        let q = gate * hidden + j;
+                        (xw.get(r, q) + hh.get(r, q)) + cell.b.w.get(0, q)
+                    };
+                    let (iv, fv, ov) = (sigmoid(pre(0)), sigmoid(pre(1)), sigmoid(pre(3)));
+                    let gv = oracle_tanhf(pre(2));
+                    let cv = fv * state.c.get(r, j) + iv * gv;
+                    let tv = oracle_tanhf(cv);
+                    saturated += usize::from(pre(2).abs() >= 22.0) + usize::from(cv.abs() >= 22.0);
+                    for (name, got, want) in [
+                        ("i", &scratch.i, iv),
+                        ("f", &scratch.f, fv),
+                        ("g", &scratch.g, gv),
+                        ("o", &scratch.o, ov),
+                        ("c'", &scratch.c_new, cv),
+                        ("tanh c'", &scratch.tanh_c_new, tv),
+                        ("h'", &scratch.h_new, ov * tv),
+                    ] {
+                        assert_eq!(
+                            got.get(r, j).to_bits(),
+                            want.to_bits(),
+                            "{name}[{r},{j}] at batch {batch}: {} vs {want}",
+                            got.get(r, j)
+                        );
+                    }
+                }
+            }
+            assert!(saturated > 0, "no gate reached |v| >= 22 at batch {batch}");
+        }
     }
 
     proptest! {

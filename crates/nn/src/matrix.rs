@@ -71,10 +71,12 @@ multiversioned! {
 }
 
 /// `out = a · b` where `a` is `ar×ac`, `b` is `ac×bc`, all row-major and
-/// `out` pre-zeroed. Register-tiled over `MR×NR` blocks with the `b`
-/// column block packed contiguous once per block, so batched rows stream
-/// the `b` weights through cache once per block instead of once per row
-/// and the inner loop reads dense 32-byte lines instead of strided ones.
+/// `out` pre-zeroed. Register-tiled over `MR×NR` blocks. When two or more
+/// row panels share a `b` column block, the block is packed contiguous
+/// once, so batched rows stream the `b` weights through cache once per
+/// block instead of once per row and the inner loop reads dense 32-byte
+/// lines instead of strided ones; a single panel reads each block once,
+/// so it reads the block in place and skips the copy.
 /// Every output element still accumulates its `k` terms in ascending
 /// order with a separate mul and add (rustc does not contract to FMA), so
 /// the result is bit-identical to the naive triple loop no matter how many
@@ -85,39 +87,24 @@ multiversioned! {
 fn gemm_nn_impl(a: &[f32], ar: usize, ac: usize, b: &[f32], bc: usize, out: &mut [f32]) {
     let panels = ar / MR * MR;
     if panels > 0 {
-        let mut bpack = vec![0.0f32; ac * NR];
+        let nr_wide =
+            |row: &[f32]| -> [f32; NR] { row.try_into().expect("block rows are NR wide") };
+        let mut bpack = vec![0.0f32; if panels > MR { ac * NR } else { 0 }];
         let mut j0 = 0;
         while j0 + NR <= bc {
-            // Pack the `ac×NR` column block of `b` once; every row panel
-            // below then reads it as dense rows.
-            for k in 0..ac {
-                bpack[k * NR..(k + 1) * NR].copy_from_slice(&b[k * bc + j0..k * bc + j0 + NR]);
-            }
-            let mut i0 = 0;
-            while i0 < panels {
-                let a0 = &a[i0 * ac..(i0 + 1) * ac];
-                let a1 = &a[(i0 + 1) * ac..(i0 + 2) * ac];
-                let a2 = &a[(i0 + 2) * ac..(i0 + 3) * ac];
-                let a3 = &a[(i0 + 3) * ac..(i0 + 4) * ac];
-                let mut acc0 = [0.0f32; NR];
-                let mut acc1 = [0.0f32; NR];
-                let mut acc2 = [0.0f32; NR];
-                let mut acc3 = [0.0f32; NR];
-                for (k, bk) in bpack.chunks_exact(NR).enumerate() {
-                    let brow: &[f32; NR] = bk.try_into().expect("chunk is NR wide");
-                    let (v0, v1, v2, v3) = (a0[k], a1[k], a2[k], a3[k]);
-                    for j in 0..NR {
-                        acc0[j] += v0 * brow[j];
-                        acc1[j] += v1 * brow[j];
-                        acc2[j] += v2 * brow[j];
-                        acc3[j] += v3 * brow[j];
-                    }
+            if panels > MR {
+                // Pack the `ac×NR` column block of `b` once; every row panel
+                // below then reads it as dense rows.
+                for k in 0..ac {
+                    bpack[k * NR..(k + 1) * NR].copy_from_slice(&b[k * bc + j0..k * bc + j0 + NR]);
                 }
-                out[i0 * bc + j0..i0 * bc + j0 + NR].copy_from_slice(&acc0);
-                out[(i0 + 1) * bc + j0..(i0 + 1) * bc + j0 + NR].copy_from_slice(&acc1);
-                out[(i0 + 2) * bc + j0..(i0 + 2) * bc + j0 + NR].copy_from_slice(&acc2);
-                out[(i0 + 3) * bc + j0..(i0 + 3) * bc + j0 + NR].copy_from_slice(&acc3);
-                i0 += MR;
+                for i0 in (0..panels).step_by(MR) {
+                    gemm_nn_tile(a, ac, i0, bpack.chunks_exact(NR).map(nr_wide), out, bc, j0);
+                }
+            } else {
+                // A single panel reads each block once: read it in place.
+                let block = b.chunks_exact(bc).map(|row| nr_wide(&row[j0..j0 + NR]));
+                gemm_nn_tile(a, ac, 0, block, out, bc, j0);
             }
             j0 += NR;
         }
@@ -150,6 +137,42 @@ fn gemm_nn_impl(a: &[f32], ar: usize, ac: usize, b: &[f32], bc: usize, out: &mut
             }
         }
     }
+}
+
+/// One `MR×NR` tile of [`gemm_nn_impl`]: rows `i0..i0 + MR` of `a` times
+/// the column block of `b` at `j0`, whose rows `block` yields in
+/// ascending `k`, written to `out`.
+#[inline(always)]
+fn gemm_nn_tile(
+    a: &[f32],
+    ac: usize,
+    i0: usize,
+    block: impl Iterator<Item = [f32; NR]>,
+    out: &mut [f32],
+    bc: usize,
+    j0: usize,
+) {
+    let a0 = &a[i0 * ac..(i0 + 1) * ac];
+    let a1 = &a[(i0 + 1) * ac..(i0 + 2) * ac];
+    let a2 = &a[(i0 + 2) * ac..(i0 + 3) * ac];
+    let a3 = &a[(i0 + 3) * ac..(i0 + 4) * ac];
+    let mut acc0 = [0.0f32; NR];
+    let mut acc1 = [0.0f32; NR];
+    let mut acc2 = [0.0f32; NR];
+    let mut acc3 = [0.0f32; NR];
+    for (k, brow) in block.enumerate() {
+        let (v0, v1, v2, v3) = (a0[k], a1[k], a2[k], a3[k]);
+        for j in 0..NR {
+            acc0[j] += v0 * brow[j];
+            acc1[j] += v1 * brow[j];
+            acc2[j] += v2 * brow[j];
+            acc3[j] += v3 * brow[j];
+        }
+    }
+    out[i0 * bc + j0..i0 * bc + j0 + NR].copy_from_slice(&acc0);
+    out[(i0 + 1) * bc + j0..(i0 + 1) * bc + j0 + NR].copy_from_slice(&acc1);
+    out[(i0 + 2) * bc + j0..(i0 + 2) * bc + j0 + NR].copy_from_slice(&acc2);
+    out[(i0 + 3) * bc + j0..(i0 + 3) * bc + j0 + NR].copy_from_slice(&acc3);
 }
 
 /// `out = aᵀ · b` where `a` is `ar×ac`, `b` is `ar×bc`, `out` is `ac×bc`
@@ -695,7 +718,7 @@ impl Matrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::SeedableRng;
     use proptest::prelude::*;
@@ -752,7 +775,7 @@ mod tests {
     }
 
     /// Naive reference GEMMs the tiled kernels must match to the bit.
-    fn naive_nn(a: &Matrix, b: &Matrix) -> Matrix {
+    pub(crate) fn naive_nn(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
         for i in 0..a.rows() {
             for j in 0..b.cols() {
@@ -824,7 +847,9 @@ mod tests {
     #[test]
     fn tiled_kernels_match_naive_reference_to_the_bit() {
         let mut rng = crate::Rng::seed_from_u64(7);
-        // Shapes chosen to exercise full tiles, column tails, and row tails.
+        // Shapes chosen to exercise full tiles, column tails, and row tails,
+        // plus the policy's gate GEMMs: one row panel reads `b` in place,
+        // two or more pack it.
         for &(m, k, n) in &[
             (1usize, 5usize, 3usize),
             (4, 8, 8),
@@ -832,6 +857,9 @@ mod tests {
             (7, 13, 17),
             (12, 32, 24),
             (64, 10, 12),
+            (4, 10, 512),
+            (4, 128, 512),
+            (8, 128, 512),
         ] {
             for zeros in [false, true] {
                 let lhs = |rows, cols, rng: &mut crate::Rng| {

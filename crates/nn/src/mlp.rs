@@ -13,17 +13,15 @@ pub enum Activation {
 
 impl Activation {
     fn apply(self, m: &Matrix) -> Matrix {
-        match self {
-            Activation::Tanh => m.map(f32::tanh),
-            Activation::Relu => m.map(|v| v.max(0.0)),
-        }
+        let mut y = m.clone();
+        self.apply_assign(&mut y);
+        y
     }
 
-    /// In-place variant of `apply` for scratch-reuse paths; same
-    /// elementwise formulas, same bits.
+    /// In-place variant of `apply` for scratch-reuse paths.
     fn apply_assign(self, m: &mut Matrix) {
         match self {
-            Activation::Tanh => m.map_assign(f32::tanh),
+            Activation::Tanh => crate::tanh_in_place(m.data_mut()),
             Activation::Relu => m.map_assign(|v| v.max(0.0)),
         }
     }

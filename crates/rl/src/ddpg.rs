@@ -91,7 +91,7 @@ pub(crate) fn run_continuous_episode(
 /// noise, one Box-Muller draw per action dimension. Shared by DDPG and TD3.
 pub(crate) fn noisy_action(actor: &Mlp, obs: &[f32], noise_std: f32, rng: &mut Rng) -> Vec<f32> {
     let raw = actor.infer(&Matrix::row_from_slice(obs));
-    let mut action: Vec<f32> = raw.data().iter().map(|v| v.tanh()).collect();
+    let mut action: Vec<f32> = raw.data().iter().map(|&v| tinynn::tanh(v)).collect();
     for a in &mut action {
         let noise: f32 = {
             // Box-Muller Gaussian.
@@ -180,7 +180,7 @@ impl Ddpg {
             let next_raw = self
                 .actor_target
                 .infer(&Matrix::row_from_slice(&t.next_obs));
-            let next_action: Vec<f32> = next_raw.data().iter().map(|v| v.tanh()).collect();
+            let next_action: Vec<f32> = next_raw.data().iter().map(|&v| tinynn::tanh(v)).collect();
             let mut next_in = t.next_obs.clone();
             next_in.extend_from_slice(&next_action);
             let q_next = self
@@ -203,7 +203,7 @@ impl Ddpg {
         for t in &batch {
             let x = Matrix::row_from_slice(&t.obs);
             let (raw, cache) = self.actor.forward(&x);
-            let action: Vec<f32> = raw.data().iter().map(|v| v.tanh()).collect();
+            let action: Vec<f32> = raw.data().iter().map(|&v| tinynn::tanh(v)).collect();
             let (_q, dq_da) = q_and_grad_wrt_action(&mut self.critic, &t.obs, &action);
             // Minimize -Q: dL/da = -dQ/da, chained through tanh.
             let draw: Vec<f32> = dq_da

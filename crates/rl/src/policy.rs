@@ -202,7 +202,7 @@ impl PolicyNet {
             }
             Backbone::Mlp(l1) => {
                 l1.forward_batch_into(obs_buf.view(), features);
-                features.map_assign(f32::tanh);
+                tinynn::tanh_in_place(features.data_mut());
                 for (r, row) in obs.iter().enumerate() {
                     steps.push(PolicyStep {
                         obs: Matrix::row_from_slice(row),
@@ -241,7 +241,7 @@ impl PolicyNet {
                     stacked.row_mut(t).copy_from_slice(step.obs.row(0));
                 }
                 let mut f = l1.forward(&stacked);
-                f.map_assign(f32::tanh);
+                tinynn::tanh_in_place(f.data_mut());
                 f
             }
             Backbone::Rnn(cell) => {

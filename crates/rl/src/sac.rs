@@ -127,7 +127,7 @@ impl Sac {
             let std = log_std.exp();
             let eps = Self::gaussian(rng);
             let u = mean + std * eps;
-            let a = u.tanh();
+            let a = tinynn::tanh(u);
             // log N(u; mean, std) − log(1 − a²).
             log_prob += -0.5 * eps * eps
                 - log_std

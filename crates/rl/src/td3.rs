@@ -132,7 +132,7 @@ impl Td3 {
                 .map(|v| {
                     let noise = (Self::gaussian(rng) * cfg.target_noise_std)
                         .clamp(-cfg.target_noise_clip, cfg.target_noise_clip);
-                    (v.tanh() + noise).clamp(-1.0, 1.0)
+                    (tinynn::tanh(*v) + noise).clamp(-1.0, 1.0)
                 })
                 .collect();
             let mut next_in = t.next_obs.clone();
@@ -173,7 +173,7 @@ impl Td3 {
         for t in &batch {
             let x = Matrix::row_from_slice(&t.obs);
             let (raw, cache) = self.actor.forward(&x);
-            let action: Vec<f32> = raw.data().iter().map(|v| v.tanh()).collect();
+            let action: Vec<f32> = raw.data().iter().map(|&v| tinynn::tanh(v)).collect();
             let (_q, dq_da) = q_and_grad_wrt_action(&mut self.q1, &t.obs, &action);
             let draw: Vec<f32> = dq_da
                 .iter()

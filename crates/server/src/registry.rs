@@ -151,7 +151,19 @@ impl Registry {
         if state.ring.len() == EVENT_RING_CAP {
             state.ring.pop_front();
         }
+        let terminal = matches!(
+            event,
+            Event::Done { .. }
+                | Event::Degraded { .. }
+                | Event::Failed { .. }
+                | Event::Cancelled { .. }
+        );
         state.ring.push_back(event.clone());
+        if terminal {
+            // The registry keeps a stopped job's ring for replay, so give
+            // back the growth slack; a resumed job regrows it.
+            state.ring.shrink_to_fit();
+        }
         state
             .subscribers
             .retain(|tx| tx.send(event.clone()).is_ok());
@@ -351,6 +363,30 @@ mod tests {
             .unwrap();
         assert_eq!(len, EVENT_RING_CAP);
         assert_eq!(front, Some(10));
+    }
+
+    #[test]
+    fn terminal_event_releases_spare_ring_capacity() {
+        let reg = Registry::new();
+        let id = reg.insert(spec());
+        for _ in 0..300 {
+            reg.publish(id, |seq| Event::Started { job: id, seq });
+        }
+        let spare = reg.with_job(id, |s| s.ring.capacity() > s.ring.len());
+        assert_eq!(spare, Some(true), "a growing ring keeps slack");
+        reg.publish(id, |seq| Event::Failed {
+            job: id,
+            seq,
+            error: "stop".into(),
+        });
+        let (len, capacity, last) = reg
+            .with_job(id, |s| {
+                let last = s.ring.back().and_then(|e| e.job_seq()).map(|(_, q)| q);
+                (s.ring.len(), s.ring.capacity(), last)
+            })
+            .unwrap();
+        assert_eq!((len, last), (301, Some(300)));
+        assert_eq!(capacity, len);
     }
 
     #[test]
