@@ -1,5 +1,6 @@
 use serde::{Deserialize, Serialize};
 
+use crate::matrix::{all_pos_zero, all_zero};
 use crate::Param;
 
 /// The Adam optimizer (Kingma & Ba, 2015) with bias correction.
@@ -33,6 +34,22 @@ struct StepConsts {
     eps: f32,
     /// `max_norm / total` when the global norm clips, else `None`.
     clip: Option<f32>,
+    /// Whether the step maps an element at rest to itself (see
+    /// [`StepConsts::fixes_rest`]).
+    rest_is_fixed: bool,
+}
+
+impl StepConsts {
+    /// Whether [`adam_step`] leaves an element whose gradient is `±0.0`
+    /// and whose moments are `+0.0` exactly as it was. The probe weight
+    /// `-0.0` survives only a subtracted `+0.0` (`-0.0 - -0.0` is `+0.0`),
+    /// and subtracting `+0.0` returns every weight unchanged.
+    fn fixes_rest(&self) -> bool {
+        [0.0f32, -0.0].into_iter().all(|g| {
+            let (w, m, v) = adam_step(-0.0, g, 0.0, 0.0, self);
+            w.to_bits() == (-0.0f32).to_bits() && m.to_bits() == 0 && v.to_bits() == 0
+        })
+    }
 }
 
 impl Adam {
@@ -63,6 +80,21 @@ impl Adam {
     /// and a zeroing pass would apply. The fused pass runs in SIMD lanes
     /// (AVX when the CPU has it, picked at runtime like the GEMMs); `/` and
     /// `sqrt` are correctly rounded, so the lane width never changes a bit.
+    ///
+    /// A parameter at rest is skipped whole: its gradient is all `±0.0`
+    /// and its `m` and `v` are all `+0.0` bit patterns, as the LSTM's `Wh`
+    /// stays when every episode is one step from the zero state. At most
+    /// its gradient is written, to `+0.0`. The skip needs this step to map
+    /// such an element to itself, which a check decides once per update by
+    /// running the fused pass's own expressions on one: `m` and `v` must
+    /// come out `+0.0` and the step subtracted from `w` exactly `+0.0`,
+    /// which leaves every `w` as it was (a signalling NaN weight, which no
+    /// arithmetic produces, would not be quieted). The check fails for
+    /// `eps = 0`, `β₂ = 1` or a NaN `lr`, which turn the step into NaN;
+    /// then every parameter takes the full pass. This is one of three
+    /// call-site skips; the other two spare the LSTM's `h·Wh` and `dWh`
+    /// from the zero state (see [`crate::Matrix::matmul`]). No kernel
+    /// skips a zero term.
     pub fn update(&mut self, params: &mut [&mut Param], max_grad_norm: f32) {
         self.update_with(params, max_grad_norm, adam_param);
     }
@@ -75,7 +107,7 @@ impl Adam {
     ) {
         let total: f32 = params.iter().map(|p| p.grad_norm_sq()).sum::<f32>().sqrt();
         self.t += 1;
-        let consts = StepConsts {
+        let mut consts = StepConsts {
             lr: self.lr,
             beta1: self.beta1,
             beta2: self.beta2,
@@ -85,7 +117,9 @@ impl Adam {
             bc2: 1.0 - self.beta2.powi(self.t as i32),
             eps: self.eps,
             clip: (total > max_grad_norm && total > 0.0).then(|| max_grad_norm / total),
+            rest_is_fixed: false,
         };
+        consts.rest_is_fixed = consts.fixes_rest();
         for p in params.iter_mut() {
             body(p, &consts);
         }
@@ -116,6 +150,17 @@ unsafe fn adam_param_avx(p: &mut Param, k: &StepConsts) {
 #[inline(always)]
 fn adam_param_impl(p: &mut Param, k: &StepConsts) {
     let Param { w, g, m, v } = p;
+    // At rest the step leaves `w`, `m` and `v` as they are, so only a
+    // `-0.0` in the gradient needs writing.
+    if k.rest_is_fixed && all_pos_zero(m.data()) && all_pos_zero(v.data()) {
+        if all_pos_zero(g.data()) {
+            return;
+        }
+        if all_zero(g.data()) {
+            g.fill(0.0);
+            return;
+        }
+    }
     let elems = w
         .data_mut()
         .iter_mut()
@@ -123,24 +168,29 @@ fn adam_param_impl(p: &mut Param, k: &StepConsts) {
         .zip(m.data_mut())
         .zip(v.data_mut());
     for (((w, g), m), v) in elems {
-        let grad = match k.clip {
-            Some(factor) => *g * factor,
-            None => *g,
-        };
-        let m_new = k.beta1 * *m + k.one_minus_beta1 * grad;
-        let v_new = k.beta2 * *v + k.one_minus_beta2 * grad * grad;
-        *m = m_new;
-        *v = v_new;
-        let m_hat = m_new / k.bc1;
-        let v_hat = v_new / k.bc2;
-        *w -= k.lr * m_hat / (v_hat.sqrt() + k.eps);
+        (*w, *m, *v) = adam_step(*w, *g, *m, *v, k);
         *g = 0.0;
     }
+}
+
+/// One element's scale → Adam step: its new `(w, m, v)`.
+#[inline(always)]
+fn adam_step(w: f32, g: f32, m: f32, v: f32, k: &StepConsts) -> (f32, f32, f32) {
+    let grad = match k.clip {
+        Some(factor) => g * factor,
+        None => g,
+    };
+    let m_new = k.beta1 * m + k.one_minus_beta1 * grad;
+    let v_new = k.beta2 * v + k.one_minus_beta2 * grad * grad;
+    let m_hat = m_new / k.bc1;
+    let v_hat = v_new / k.bc2;
+    (w - k.lr * m_hat / (v_hat.sqrt() + k.eps), m_new, v_new)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::tests::same_bits_or_both_nan;
     use crate::{Matrix, Rng, SeedableRng};
     use proptest::prelude::*;
     use rand::Rng as _;
@@ -226,7 +276,12 @@ mod tests {
     }
 
     fn assert_params_bits_eq(body: &str, a: &[Param], b: &[Param]) {
-        for (pa, pb) in a.iter().zip(b) {
+        assert_params_agree(body, a, b, |x, y| x.to_bits() == y.to_bits());
+    }
+
+    /// Asserts `same` of every element of `w`, `g`, `m` and `v`.
+    fn assert_params_agree(body: &str, a: &[Param], b: &[Param], same: fn(f32, f32) -> bool) {
+        for (i, (pa, pb)) in a.iter().zip(b).enumerate() {
             for (name, x, y) in [
                 ("w", &pa.w, &pb.w),
                 ("g", &pa.g, &pb.g),
@@ -234,7 +289,7 @@ mod tests {
                 ("v", &pa.v, &pb.v),
             ] {
                 for (k, (x, y)) in x.data().iter().zip(y.data()).enumerate() {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{body} {name}[{k}]: {x} vs {y}");
+                    assert!(same(*x, *y), "{body} param {i} {name}[{k}]: {x} vs {y}");
                 }
             }
         }
@@ -242,6 +297,22 @@ mod tests {
 
     /// One compiled copy of the fused per-parameter pass.
     type Body = fn(&mut Param, &StepConsts);
+
+    /// A change to Adam's constants.
+    type Tweak = fn(&mut Adam);
+
+    /// The baseline body, the AVX body where the CPU has it, and the
+    /// runtime dispatch between them.
+    fn bodies() -> Vec<(&'static str, Body)> {
+        let mut bodies: Vec<(&str, Body)> = vec![("baseline", adam_param_impl)];
+        #[cfg(target_arch = "x86_64")]
+        if crate::matrix::avx_available() {
+            // SAFETY: AVX support was verified at runtime above.
+            bodies.push(("avx", |p, k| unsafe { adam_param_avx(p, k) }));
+        }
+        bodies.push(("dispatched", adam_param));
+        bodies
+    }
 
     /// Parameters of assorted widths (SIMD blocks plus tails) with random
     /// weights and moments, ready for one update.
@@ -264,6 +335,47 @@ mod tests {
         .collect()
     }
 
+    /// Parameters at rest (every gradient `±0.0`, `m` and `v` all `+0.0`,
+    /// the last weight `-0.0`), each followed by a near miss that must not
+    /// skip. A near miss leaves rest at element 0 only: `m = -0.0`,
+    /// `v = -0.0`, a subnormal `m`, a subnormal `v`, and (last) a nonzero
+    /// gradient, which [`rest_grads`] plants.
+    fn resting_params(rng: &mut Rng) -> Vec<Param> {
+        let shapes = [(1usize, 1usize), (1, 7), (3, 8), (10, 13), (40, 20)];
+        let mut params = Vec::new();
+        for (miss, &(r, c)) in shapes.iter().enumerate() {
+            let mut rest = Param::new(Matrix::xavier(r, c, rng));
+            rest.w.data_mut()[r * c - 1] = -0.0;
+            let mut near = rest.clone();
+            let subnormal = f32::from_bits(rng.gen_range(0x0010_0000..0x0080_0000));
+            match miss {
+                0 => near.m.data_mut()[0] = -0.0,
+                1 => near.v.data_mut()[0] = -0.0,
+                2 => near.m.data_mut()[0] = -subnormal,
+                3 => near.v.data_mut()[0] = subnormal,
+                _ => {}
+            }
+            params.extend([rest, near]);
+        }
+        params
+    }
+
+    /// One step's gradients for [`resting_params`]: random signed zeros,
+    /// except element 0, which is `+0.0` (so a `-0.0` moment there must
+    /// change) or, in the last parameter, nonzero.
+    fn rest_grads(params: &mut [Param], rng: &mut Rng) {
+        let last = params.len() - 1;
+        for (i, p) in params.iter_mut().enumerate() {
+            for (k, g) in p.g.data_mut().iter_mut().enumerate() {
+                *g = match k {
+                    0 if i == last => rng.gen_range(-1.0f32..1.0),
+                    0 => 0.0,
+                    _ => [0.0f32, -0.0][rng.gen_range(0..2usize)],
+                };
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -282,14 +394,7 @@ mod tests {
             let scale = 10f32.powf(log_scale);
             let mut rng = Rng::seed_from_u64(seed);
             let start = random_params(&mut rng);
-            let mut bodies: Vec<(&str, Body)> = vec![("baseline", adam_param_impl)];
-            #[cfg(target_arch = "x86_64")]
-            if crate::matrix::avx_available() {
-                // SAFETY: AVX support was verified at runtime above.
-                bodies.push(("avx", |p, k| unsafe { adam_param_avx(p, k) }));
-            }
-            bodies.push(("dispatched", adam_param));
-            for (body, run) in bodies {
+            for (body, run) in bodies() {
                 let mut fused = start.clone();
                 let mut oracle = start.clone();
                 let mut fused_opt = Adam::new(3e-3);
@@ -319,6 +424,57 @@ mod tests {
                     let mut refs: Vec<&mut Param> = oracle.iter_mut().collect();
                     three_call_update(&mut oracle_opt, &mut refs, max_norm);
                     assert_params_bits_eq(body, &fused, &oracle);
+                }
+            }
+        }
+
+        /// Skipping a parameter at rest changes no bit: on every body, over
+        /// three steps, the fused update equals clip → step → zero on
+        /// [`resting_params`], whose near misses must take the full pass.
+        /// Besides Adam's defaults, three constant sets break the fixed
+        /// point: `eps = 0`, `β₂ = 1` and a NaN `lr`. There the oracle
+        /// writes NaN into every resting weight, and the fused pass must
+        /// write NaN in the same places. Two more break it for some
+        /// elements only. `lr < 0` subtracts `-0.0`, which turns a `-0.0`
+        /// weight into `+0.0`. `β₁ < 0` turns one sign of zero gradient
+        /// into `m = -0.0`: `-0.0`, or `+0.0` when a negative `max_norm`
+        /// clips with a negative factor.
+        #[test]
+        fn resting_parameters_skip_without_changing_a_bit(
+            seed in 0u64..1_000_000,
+            max_norm in -2.0f32..2.0,
+        ) {
+            let constants: [(&str, Tweak); 6] = [
+                ("defaults", |_| {}),
+                ("eps = 0", |o| o.eps = 0.0),
+                ("beta2 = 1", |o| o.beta2 = 1.0),
+                ("NaN lr", |o| o.lr = f32::NAN),
+                ("lr < 0", |o| o.lr = -3e-3),
+                ("beta1 < 0", |o| o.beta1 = -0.5),
+            ];
+            let mut rng = Rng::seed_from_u64(seed);
+            let start = resting_params(&mut rng);
+            for (name, set) in constants {
+                for (body, run) in bodies() {
+                    let mut fused = start.clone();
+                    let mut oracle = start.clone();
+                    let mut fused_opt = Adam::new(3e-3);
+                    let mut oracle_opt = Adam::new(3e-3);
+                    set(&mut fused_opt);
+                    set(&mut oracle_opt);
+                    let mut grad_rng = Rng::seed_from_u64(seed ^ 0x9e37);
+                    for _ in 0..3 {
+                        rest_grads(&mut fused, &mut grad_rng);
+                        for (po, pf) in oracle.iter_mut().zip(&fused) {
+                            po.g = pf.g.clone();
+                        }
+                        let mut refs: Vec<&mut Param> = fused.iter_mut().collect();
+                        fused_opt.update_with(&mut refs, max_norm, run);
+                        let mut refs: Vec<&mut Param> = oracle.iter_mut().collect();
+                        three_call_update(&mut oracle_opt, &mut refs, max_norm);
+                        let label = format!("{body} ({name})");
+                        assert_params_agree(&label, &fused, &oracle, same_bits_or_both_nan);
+                    }
                 }
             }
         }

@@ -1,4 +1,4 @@
-use crate::matrix::{gemm_tn, matvec_nt};
+use crate::matrix::{all_finite, all_zero, gemm_tn, matvec_nt};
 use crate::{MatRef, Matrix, Param, Rng};
 
 fn sigmoid(v: f32) -> f32 {
@@ -173,6 +173,18 @@ impl LstmCell {
     /// per-row serial calls. One pass per row forms the gate pre-activations
     /// and writes the `i/f/g/o/c'/tanh(c')/h'` rows; `tanh` runs lane-wide
     /// over whole rows through [`crate::tanh_in_place`].
+    ///
+    /// From the all-zero state (every element of `state.h` is `±0.0`) with
+    /// every `Wh` weight finite, `h·Wh` is not multiplied: each of its
+    /// terms is `±0.0`, so the GEMM would return `+0.0` everywhere, and
+    /// that is what it is left at. A NaN or infinite weight takes the full
+    /// GEMM and poisons its column. The GEMM itself never skips a zero
+    /// term (see [`crate::Matrix::matmul`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `input_dim()` wide, or `state.h` or `state.c`
+    /// is not `N×H`, whether or not the state is zero.
     pub fn forward_batch_into(
         &self,
         x: MatRef<'_>,
@@ -182,8 +194,20 @@ impl LstmCell {
         let batch = x.rows();
         let h = self.hidden;
         assert_eq!(state.h.rows(), batch, "state batch mismatch");
+        // The skip below bypasses the GEMM's inner-dims check, so both
+        // state matrices are checked here.
+        assert_eq!(state.h.cols(), h, "state width mismatch");
+        assert_eq!(
+            (state.c.rows(), state.c.cols()),
+            (batch, h),
+            "cell state shape mismatch"
+        );
         x.matmul_into(&self.wx.w, &mut scratch.gates);
-        state.h.matmul_into(&self.wh.w, &mut scratch.hh);
+        if all_zero(state.h.data()) && all_finite(self.wh.w.data()) {
+            scratch.hh.reset_to(batch, 4 * h);
+        } else {
+            state.h.matmul_into(&self.wh.w, &mut scratch.hh);
+        }
         scratch.i.reset_to(batch, h);
         scratch.f.reset_to(batch, h);
         scratch.g.reset_to(batch, h);
@@ -255,6 +279,15 @@ impl LstmCell {
     /// rather than added, which is what makes the result bit-identical to
     /// per-step accumulation into zeroed gradients.
     ///
+    /// When every `h_prev` row is `±0.0` (a one-step episode from the zero
+    /// initial state) and every `dgates` value is finite, `dWh` is not
+    /// formed: each of its terms is `±0.0`, so the GEMM would write `+0.0`,
+    /// which `dWh` already holds. A NaN or infinite `dgates` value takes
+    /// the full GEMM and poisons `dWh` as the per-step loop does. The
+    /// forward's `h·Wh` and Adam's step of a parameter at rest are skipped
+    /// the same way (see [`crate::Matrix::matmul`]); `gemm_tn` itself
+    /// never skips a zero term.
+    ///
     /// # Panics
     ///
     /// Panics if `dh` is not `T×H`, a step's input is not `input_dim()`
@@ -313,14 +346,16 @@ impl LstmCell {
             4 * h,
             self.wx.g.data_mut(),
         );
-        gemm_tn(
-            h_prev.data(),
-            t_len,
-            h,
-            dgates.data(),
-            4 * h,
-            self.wh.g.data_mut(),
-        );
+        if !(all_zero(h_prev.data()) && all_finite(dgates.data())) {
+            gemm_tn(
+                h_prev.data(),
+                t_len,
+                h,
+                dgates.data(),
+                4 * h,
+                self.wh.g.data_mut(),
+            );
+        }
         let db = self.b.g.data_mut();
         for row in dgates.data().chunks_exact(4 * h) {
             for (acc, v) in db.iter_mut().zip(row) {
@@ -345,7 +380,7 @@ impl LstmCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::tests::naive_nn;
+    use crate::matrix::tests::{naive_nn, same_bits_or_both_nan};
     use crate::tanh::tests::oracle_tanhf;
     use crate::SeedableRng;
     use proptest::prelude::*;
@@ -510,28 +545,87 @@ mod tests {
         Matrix::from_vec(rows, n, data)
     }
 
+    /// A cell whose biases include `±0.0` and magnitudes ≥ 22.
+    fn cell_with_planted_biases(rng: &mut Rng, input: usize, hidden: usize) -> LstmCell {
+        let mut cell = LstmCell::new(input, hidden, rng);
+        for (q, b) in cell.b.w.data_mut().iter_mut().enumerate() {
+            match q % 7 {
+                0 => *b = -0.0,
+                1 => *b = 0.0,
+                2 => *b = 25.0,
+                3 => *b = -30.0,
+                _ => {}
+            }
+        }
+        cell
+    }
+
+    /// Runs the batched forward into `scratch` and asserts `same` of every
+    /// output and an element-wise reference built from the naive GEMM,
+    /// `sigmoid` and the fdlibm oracle `tanh`. Returns how many gate
+    /// pre-activations and cell states reached `|v| >= 22`.
+    fn assert_matches_elementwise_reference(
+        cell: &LstmCell,
+        x: &Matrix,
+        state: &LstmState,
+        scratch: &mut LstmBatchScratch,
+        same: fn(f32, f32) -> bool,
+    ) -> usize {
+        cell.forward_batch_into(x.view(), state, scratch);
+        let (batch, hidden) = state.h.shape();
+        let xw = naive_nn(x, &cell.wx.w);
+        let hh = naive_nn(&state.h, &cell.wh.w);
+        let mut saturated = 0;
+        for r in 0..batch {
+            for j in 0..hidden {
+                let pre = |gate: usize| {
+                    let q = gate * hidden + j;
+                    (xw.get(r, q) + hh.get(r, q)) + cell.b.w.get(0, q)
+                };
+                let (iv, fv, ov) = (sigmoid(pre(0)), sigmoid(pre(1)), sigmoid(pre(3)));
+                let gv = oracle_tanhf(pre(2));
+                let cv = fv * state.c.get(r, j) + iv * gv;
+                let tv = oracle_tanhf(cv);
+                saturated += usize::from(pre(2).abs() >= 22.0) + usize::from(cv.abs() >= 22.0);
+                for (name, got, want) in [
+                    ("i", &scratch.i, iv),
+                    ("f", &scratch.f, fv),
+                    ("g", &scratch.g, gv),
+                    ("o", &scratch.o, ov),
+                    ("c'", &scratch.c_new, cv),
+                    ("tanh c'", &scratch.tanh_c_new, tv),
+                    ("h'", &scratch.h_new, ov * tv),
+                ] {
+                    assert!(
+                        same(got.get(r, j), want),
+                        "{name}[{r},{j}] at batch {batch}: {} vs {want}",
+                        got.get(r, j)
+                    );
+                }
+            }
+        }
+        saturated
+    }
+
     /// The gate pass equals, to the bit, an element-wise reference built
     /// from the naive GEMM, `sigmoid` and the fdlibm oracle `tanh`, at
     /// batch 1, 4, 5 and 64 through one reused scratch. Signed zeros are
     /// planted in the inputs, states and biases; an all-`-0.0` input and
     /// state row leaves the gates equal to the biases, some of which are
     /// set to ±0.0 and to magnitudes ≥ 22, and the cell states reach ±40.
+    ///
+    /// Zero-state batches of 1, 4 and 64 rows, whose `h·Wh` is skipped,
+    /// match the reference too. With an infinity planted in `Wh` the
+    /// naive GEMM gives `0·inf = NaN` down that column, so the skip must
+    /// not fire, and every row's `h'` in that column must be NaN.
     #[test]
     fn forward_batch_into_matches_elementwise_reference() {
+        let exact = |x: f32, y: f32| x.to_bits() == y.to_bits();
         let mut rng = Rng::seed_from_u64(15);
         let mut scratch = LstmBatchScratch::new();
+        let input = 10;
         for (batch, hidden) in [(1, 13), (4, 128), (5, 13), (64, 128)] {
-            let input = 10;
-            let mut cell = LstmCell::new(input, hidden, &mut rng);
-            for (q, b) in cell.b.w.data_mut().iter_mut().enumerate() {
-                match q % 7 {
-                    0 => *b = -0.0,
-                    1 => *b = 0.0,
-                    2 => *b = 25.0,
-                    3 => *b = -30.0,
-                    _ => {}
-                }
-            }
+            let cell = cell_with_planted_biases(&mut rng, input, hidden);
             let mut x = random_rows(&mut rng, batch, input, -3.0, 3.0);
             let mut state = LstmState {
                 h: random_rows(&mut rng, batch, hidden, -1.0, 1.0),
@@ -539,52 +633,121 @@ mod tests {
             };
             x.row_mut(0).fill(-0.0);
             state.h.row_mut(0).fill(-0.0);
-            cell.forward_batch_into(x.view(), &state, &mut scratch);
-
-            let xw = naive_nn(&x, &cell.wx.w);
-            let hh = naive_nn(&state.h, &cell.wh.w);
-            let mut saturated = 0;
-            for r in 0..batch {
-                for j in 0..hidden {
-                    let pre = |gate: usize| {
-                        let q = gate * hidden + j;
-                        (xw.get(r, q) + hh.get(r, q)) + cell.b.w.get(0, q)
-                    };
-                    let (iv, fv, ov) = (sigmoid(pre(0)), sigmoid(pre(1)), sigmoid(pre(3)));
-                    let gv = oracle_tanhf(pre(2));
-                    let cv = fv * state.c.get(r, j) + iv * gv;
-                    let tv = oracle_tanhf(cv);
-                    saturated += usize::from(pre(2).abs() >= 22.0) + usize::from(cv.abs() >= 22.0);
-                    for (name, got, want) in [
-                        ("i", &scratch.i, iv),
-                        ("f", &scratch.f, fv),
-                        ("g", &scratch.g, gv),
-                        ("o", &scratch.o, ov),
-                        ("c'", &scratch.c_new, cv),
-                        ("tanh c'", &scratch.tanh_c_new, tv),
-                        ("h'", &scratch.h_new, ov * tv),
-                    ] {
-                        assert_eq!(
-                            got.get(r, j).to_bits(),
-                            want.to_bits(),
-                            "{name}[{r},{j}] at batch {batch}: {} vs {want}",
-                            got.get(r, j)
-                        );
-                    }
-                }
-            }
+            let saturated =
+                assert_matches_elementwise_reference(&cell, &x, &state, &mut scratch, exact);
             assert!(saturated > 0, "no gate reached |v| >= 22 at batch {batch}");
+        }
+        for batch in [1, 4, 64] {
+            let hidden = 128;
+            let mut cell = cell_with_planted_biases(&mut rng, input, hidden);
+            let x = random_rows(&mut rng, batch, input, -3.0, 3.0);
+            let mut state = LstmState {
+                h: Matrix::zeros(batch, hidden),
+                c: random_rows(&mut rng, batch, hidden, -40.0, 40.0),
+            };
+            for v in state.h.data_mut() {
+                *v = [0.0f32, -0.0][rng.gen_range(0..2usize)];
+            }
+            assert_matches_elementwise_reference(&cell, &x, &state, &mut scratch, exact);
+            let (k, q) = (rng.gen_range(0..hidden), rng.gen_range(0..4 * hidden));
+            let inf = [f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0..2usize)];
+            cell.wh.w.set(k, q, inf);
+            assert_matches_elementwise_reference(
+                &cell,
+                &x,
+                &state,
+                &mut scratch,
+                same_bits_or_both_nan,
+            );
+            let j = q % hidden;
+            assert!(
+                (0..batch).all(|r| scratch.h_new.get(r, j).is_nan()),
+                "an infinite Wh[{k},{q}] must poison h' column {j} at batch {batch}"
+            );
+        }
+    }
+
+    /// A zero state of the wrong width panics like a nonzero one, although
+    /// the zero state's `h·Wh` is never multiplied.
+    #[test]
+    #[should_panic(expected = "state width mismatch")]
+    fn forward_rejects_a_zero_state_of_the_wrong_width() {
+        let cell = LstmCell::new(3, 4, &mut Rng::seed_from_u64(16));
+        let state = LstmState::zeros(2, 5);
+        cell.forward_batch(Matrix::zeros(2, 3).view(), &state);
+    }
+
+    #[test]
+    #[should_panic(expected = "cell state shape mismatch")]
+    fn forward_rejects_a_cell_state_of_the_wrong_width() {
+        let cell = LstmCell::new(3, 4, &mut Rng::seed_from_u64(16));
+        let state = LstmState {
+            h: Matrix::zeros(2, 4),
+            c: Matrix::zeros(2, 5),
+        };
+        cell.forward_batch(Matrix::zeros(2, 3).view(), &state);
+    }
+
+    /// `t_len` caches of random 1-row steps with planted signed zeros.
+    fn random_caches(rng: &mut Rng, t_len: usize, h: usize) -> Vec<LstmCache> {
+        (0..t_len)
+            .map(|_| LstmCache {
+                h_prev: random_row(rng, h, -1.0, 1.0),
+                c_prev: random_row(rng, h, -2.0, 2.0),
+                i: random_row(rng, h, 0.0, 1.0),
+                f: random_row(rng, h, 0.0, 1.0),
+                g: random_row(rng, h, -1.0, 1.0),
+                o: random_row(rng, h, 0.0, 1.0),
+                tanh_c_new: random_row(rng, h, -1.0, 1.0),
+            })
+            .collect()
+    }
+
+    /// Runs `backward_sequence` and the per-step loop it replaced (upstream
+    /// `dh` threaded as `dh_prev + dh[t]`) on copies of `cell`, and asserts
+    /// `same` of every gradient element.
+    fn assert_matches_per_step_loop(
+        cell: &LstmCell,
+        xs: &[Matrix],
+        caches: &[LstmCache],
+        dh: &Matrix,
+        same: fn(f32, f32) -> bool,
+    ) {
+        let mut fast = cell.clone();
+        let mut oracle = cell.clone();
+        let steps: Vec<(&[f32], &LstmCache)> =
+            xs.iter().zip(caches).map(|(x, c)| (x.row(0), c)).collect();
+        fast.backward_sequence(&steps, dh.view());
+
+        let h = cell.hidden;
+        let mut dh_carry = Matrix::zeros(1, h);
+        let mut dc_carry = Matrix::zeros(1, h);
+        for t in (0..xs.len()).rev() {
+            let dh_total = dh_carry.add(&Matrix::row_from_slice(dh.row(t)));
+            let (dh_prev, dc_prev) =
+                per_step_backward(&mut oracle, &xs[t], &caches[t], &dh_total, &dc_carry);
+            dh_carry = dh_prev;
+            dc_carry = dc_prev;
+        }
+
+        for (name, a, b) in [
+            ("wx", &fast.wx.g, &oracle.wx.g),
+            ("wh", &fast.wh.g, &oracle.wh.g),
+            ("b", &fast.b.g, &oracle.b.g),
+        ] {
+            for (k, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+                assert!(same(*x, *y), "{name}[{k}]: {x} vs {y}");
+            }
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The whole-sequence BPTT equals the per-step loop it replaced
-        /// (upstream `dh` threaded as `dh_prev + dh[t]`) on every gradient
-        /// bit, for T ∈ {1, 2, 52}, random caches with planted signed
-        /// zeros, and upstream rows that are random, all `+0.0`, all
-        /// `-0.0`, or mixed.
+        /// The whole-sequence BPTT equals the per-step loop it replaced on
+        /// every gradient bit, for T ∈ {1, 2, 52}, random caches with
+        /// planted signed zeros, and upstream rows that are random, all
+        /// `+0.0`, all `-0.0`, or mixed.
         #[test]
         fn backward_sequence_matches_per_step_loop_to_the_bit(
             seed in 0u64..1_000_000,
@@ -595,20 +758,9 @@ mod tests {
             let h = [3usize, 8, 128][h_pick];
             let input = 10;
             let mut rng = Rng::seed_from_u64(seed);
-            let mut fast = LstmCell::new(input, h, &mut rng);
-            let mut oracle = fast.clone();
+            let cell = LstmCell::new(input, h, &mut rng);
             let xs: Vec<Matrix> = (0..t_len).map(|_| random_row(&mut rng, input, -3.0, 3.0)).collect();
-            let caches: Vec<LstmCache> = (0..t_len)
-                .map(|_| LstmCache {
-                    h_prev: random_row(&mut rng, h, -1.0, 1.0),
-                    c_prev: random_row(&mut rng, h, -2.0, 2.0),
-                    i: random_row(&mut rng, h, 0.0, 1.0),
-                    f: random_row(&mut rng, h, 0.0, 1.0),
-                    g: random_row(&mut rng, h, -1.0, 1.0),
-                    o: random_row(&mut rng, h, 0.0, 1.0),
-                    tanh_c_new: random_row(&mut rng, h, -1.0, 1.0),
-                })
-                .collect();
+            let caches = random_caches(&mut rng, t_len, h);
             let mut dh = Matrix::zeros(t_len, h);
             for t in 0..t_len {
                 let row: Vec<f32> = match rng.gen_range(0..4) {
@@ -619,30 +771,38 @@ mod tests {
                 };
                 dh.row_mut(t).copy_from_slice(&row);
             }
+            assert_matches_per_step_loop(&cell, &xs, &caches, &dh, |x, y| x.to_bits() == y.to_bits());
+        }
 
-            let steps: Vec<(&[f32], &LstmCache)> =
-                xs.iter().zip(&caches).map(|(x, c)| (x.row(0), c)).collect();
-            fast.backward_sequence(&steps, dh.view());
-
-            let mut dh_carry = Matrix::zeros(1, h);
-            let mut dc_carry = Matrix::zeros(1, h);
-            for t in (0..t_len).rev() {
-                let dh_total = dh_carry.add(&Matrix::row_from_slice(dh.row(t)));
-                let (dh_prev, dc_prev) =
-                    per_step_backward(&mut oracle, &xs[t], &caches[t], &dh_total, &dc_carry);
-                dh_carry = dh_prev;
-                dc_carry = dc_prev;
-            }
-
-            for (name, a, b) in [
-                ("wx", &fast.wx.g, &oracle.wx.g),
-                ("wh", &fast.wh.g, &oracle.wh.g),
-                ("b", &fast.b.g, &oracle.b.g),
-            ] {
-                for (k, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(), "{}[{}]: {} vs {}", name, k, x, y);
+        /// From the zero state `backward_sequence` skips `dWh`, and the skip
+        /// changes no bit: with every `h_prev` row `±0.0`, at T ∈ {1, 2}, it
+        /// equals the per-step loop on every gradient bit. Each case runs
+        /// again with a NaN or an infinity planted in `dh`; its `dgates` are
+        /// then not finite, `dWh` must take the GEMM, and the fast path must
+        /// give NaN wherever the per-step loop does.
+        #[test]
+        fn backward_sequence_from_the_zero_state_matches_per_step_loop(
+            seed in 0u64..1_000_000,
+            t_len in 1usize..3,
+            h_pick in 0usize..3,
+        ) {
+            let h = [3usize, 8, 128][h_pick];
+            let input = 10;
+            let mut rng = Rng::seed_from_u64(seed);
+            let cell = LstmCell::new(input, h, &mut rng);
+            let xs: Vec<Matrix> = (0..t_len).map(|_| random_row(&mut rng, input, -3.0, 3.0)).collect();
+            let mut caches = random_caches(&mut rng, t_len, h);
+            for cache in &mut caches {
+                for v in cache.h_prev.data_mut() {
+                    *v = [0.0f32, -0.0][rng.gen_range(0..2usize)];
                 }
             }
+            let mut dh = random_rows(&mut rng, t_len, h, -1.0, 1.0);
+            assert_matches_per_step_loop(&cell, &xs, &caches, &dh, |x, y| x.to_bits() == y.to_bits());
+            let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0..3usize)];
+            let (t, j) = (rng.gen_range(0..t_len), rng.gen_range(0..h));
+            dh.row_mut(t)[j] = bad;
+            assert_matches_per_step_loop(&cell, &xs, &caches, &dh, same_bits_or_both_nan);
         }
     }
 }

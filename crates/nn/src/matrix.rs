@@ -43,6 +43,40 @@ pub(crate) fn avx_available() -> bool {
     }
 }
 
+// --- Zero-state scans -----------------------------------------------------
+//
+// The GEMMs never skip a zero operand (see `Matrix::matmul`). Three call
+// sites instead skip a whole product when an input property fixes its
+// result to the bit: the LSTM's `h·Wh` and `dWh` from an all-zero
+// recurrent state, and Adam's step of a parameter at rest. These scans
+// decide those properties.
+
+/// Whether every element is `+0.0` or `-0.0`.
+pub(crate) fn all_zero(xs: &[f32]) -> bool {
+    !any_bits(xs, |b| b & 0x7fff_ffff)
+}
+
+/// Whether every element has the bit pattern of `+0.0`.
+pub(crate) fn all_pos_zero(xs: &[f32]) -> bool {
+    !any_bits(xs, |b| b)
+}
+
+/// Whether no element is infinite or NaN.
+pub(crate) fn all_finite(xs: &[f32]) -> bool {
+    // Only an all-ones exponent field carries into the sign bit.
+    !any_bits(xs, |b| ((b & 0x7f80_0000) + 0x0080_0000) & 0x8000_0000)
+}
+
+/// Whether `f` of some element's bits is nonzero. The results are ORed 64
+/// elements at a time, and the scan stops after the first block where one
+/// is.
+#[inline(always)]
+fn any_bits(xs: &[f32], f: impl Fn(u32) -> u32) -> bool {
+    let any = |block: &[f32]| block.iter().fold(0, |any, v| any | f(v.to_bits())) != 0;
+    let (blocks, tail) = xs.as_chunks::<64>();
+    blocks.iter().any(|b| any(b)) || any(tail)
+}
+
 macro_rules! multiversioned {
     ($($entry:ident => $avx:ident / $impl_fn:ident;)+) => {
         $(
@@ -550,6 +584,22 @@ impl Matrix {
     /// alike (the repo-wide NaN-poisoning policy: bad numbers surface, they
     /// are never silently zeroed).
     ///
+    /// The kernels themselves never skip. Three call sites skip a whole
+    /// product when an input property fixes its result to the bit: every
+    /// term is then `±0.0`, and a sum of such terms from `+0.0` is `+0.0`.
+    /// - [`crate::LstmCell::forward_batch_into`] leaves `h·Wh` at `+0.0`
+    ///   when every element of `h` is `±0.0` and every `Wh` weight is
+    ///   finite.
+    /// - [`crate::LstmCell::backward_sequence`] leaves `dWh` at its `+0.0`
+    ///   entry value when every `h_prev` row is `±0.0` and every `dgates`
+    ///   value is finite.
+    /// - [`crate::Adam::update`] leaves a parameter whose gradient is `±0.0`
+    ///   and whose moments are `+0.0` untouched when the step's constants
+    ///   map such an element to itself.
+    ///
+    /// A NaN or an infinity where a skip would drop it fails these guards,
+    /// so it still takes the full path and poisons the result.
+    ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
@@ -822,6 +872,12 @@ pub(crate) mod tests {
         for (x, y) in a.data().iter().zip(b.data()) {
             assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
         }
+    }
+
+    /// The exactness rule of the zero-state skip tests: a value equals its
+    /// oracle's on every bit, or both are NaN.
+    pub(crate) fn same_bits_or_both_nan(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
     }
 
     /// A Xavier `rows × cols` matrix with signed zeros planted: every third

@@ -283,6 +283,42 @@ mod tests {
         assert!(other.load_state(&snapshot).is_err());
     }
 
+    /// With one-step episodes every decision starts from the zero state,
+    /// so the recurrent weights `Wh` get an all-zero gradient and Adam's
+    /// step leaves them alone: after 50 updates `Wh` still holds its
+    /// initial bits and its moments are all `+0.0`. The LSTM's zero-state
+    /// skips rely on this; a change to the initial state fails here.
+    #[test]
+    fn one_step_episodes_leave_the_recurrent_weights_at_rest() {
+        let mut rng = Rng::seed_from_u64(13);
+        let mut env = PatternEnv::new(1, vec![3, 3]);
+        let config = ReinforceConfig {
+            hidden: 16,
+            ..ReinforceConfig::default()
+        };
+        let mut agent = Reinforce::new(env.obs_dim(), env.action_dims(), config, &mut rng);
+        let mut initial = agent.policy.clone();
+        for _ in 0..1000 {
+            if agent.opt.steps() == 50 {
+                break;
+            }
+            agent.train_epoch(&mut env, &mut rng);
+        }
+        assert_eq!(agent.opt.steps(), 50, "50 updates within 1000 episodes");
+        let mut trained = agent.policy.clone();
+        // `LstmCell::params_mut` lists `[Wx, Wh, b]` first.
+        let (initial, trained) = (initial.params_mut(), trained.params_mut());
+        let bits = |m: &tinynn::Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&trained[1].w), bits(&initial[1].w), "Wh moved");
+        for moment in [&trained[1].m, &trained[1].v] {
+            assert!(
+                moment.data().iter().all(|v| v.to_bits() == 0),
+                "Wh moment left +0.0"
+            );
+        }
+        assert_ne!(bits(&trained[0].w), bits(&initial[0].w), "Wx never moved");
+    }
+
     #[test]
     fn greedy_episode_has_horizon_steps() {
         let mut rng = Rng::seed_from_u64(9);
