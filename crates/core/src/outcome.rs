@@ -41,8 +41,8 @@ pub struct SearchOutcome {
     pub eval_stats: EvalStats,
     /// Wall-clock time in nanoseconds.
     pub wall_nanos: u64,
-    /// `Some(reason)` when the search was stopped early (deadline expired,
-    /// job cancelled) and this is the best-so-far answer rather than the
+    /// `Some(reason)` when the search was stopped early (its deadline
+    /// expired) and this is the best-so-far answer rather than the
     /// full-budget result. A degraded outcome is a *partial answer, not an
     /// error*: `best` is still the true best found under the budget
     /// actually spent. Excluded from [`Self::digest`] — a degraded run

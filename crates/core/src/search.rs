@@ -131,7 +131,8 @@ pub struct RlSearchResult {
     pub initial_valid_cost: Option<f64>,
     /// Epochs until the best-so-far came within 10% of the final best.
     pub epochs_to_converge: Option<usize>,
-    /// Wall-clock search time.
+    /// Wall-clock time spent in the search's own calls. For an RL search
+    /// these are its rollout rounds: time between rounds is not counted.
     pub wall_time: Duration,
     /// Trainable scalar parameters (0 for classical baselines).
     pub param_count: usize,
@@ -235,6 +236,8 @@ pub fn run_rl_search_vec_with_reward(
 /// [`RlVecRun::resume`] continues the exact RNG streams and agent weights,
 /// so best/trace/initial-valid are bit-identical to the uninterrupted run;
 /// wall time and engine counters are accumulated across segments.
+/// Wall time counts only the rounds themselves, so a run left waiting
+/// between rounds does not count the wait.
 struct RlVecRun {
     n_envs: usize,
     venv: VecHwEnv,
@@ -246,9 +249,8 @@ struct RlVecRun {
     stats_base: EvalStats,
     /// Engine counters carried over from pre-resume segments.
     stats_accum: EvalStats,
-    /// Wall time carried over from pre-resume segments.
-    wall_accum: Duration,
-    segment_start: Instant,
+    /// Time spent inside `step_round`, summed across segments.
+    wall: Duration,
 }
 
 impl RlVecRun {
@@ -276,7 +278,6 @@ impl RlVecRun {
             ));
         }
         let stats_base = problem.eval_stats();
-        let segment_start = Instant::now();
         let result = RlSearchResult {
             algorithm: kind.name().to_string(),
             best: None,
@@ -296,8 +297,7 @@ impl RlVecRun {
             remaining: budget.epochs,
             stats_base,
             stats_accum: EvalStats::default(),
-            wall_accum: Duration::ZERO,
-            segment_start,
+            wall: Duration::ZERO,
         }
     }
 
@@ -363,7 +363,7 @@ impl RlVecRun {
         run.result.initial_valid_cost = state.initial_valid_cost_bits.map(f64::from_bits);
         run.remaining = budget.epochs - run.result.trace.len();
         run.stats_accum = state.eval_stats;
-        run.wall_accum = Duration::from_nanos(state.wall_nanos);
+        run.wall = Duration::from_nanos(state.wall_nanos);
         Ok(run)
     }
 
@@ -373,6 +373,7 @@ impl RlVecRun {
         if self.remaining == 0 {
             return false;
         }
+        let start = Instant::now();
         let k = self.n_envs.min(self.remaining);
         let reports = self
             .agent
@@ -394,6 +395,7 @@ impl RlVecRun {
                 .push(self.result.best.as_ref().map_or(f64::INFINITY, |b| b.cost));
         }
         self.remaining -= k;
+        self.wall += start.elapsed();
         self.remaining > 0
     }
 
@@ -405,11 +407,6 @@ impl RlVecRun {
     fn stats_so_far(&self) -> EvalStats {
         self.stats_accum
             .plus(self.venv.problem().eval_stats().since(self.stats_base))
-    }
-
-    /// Wall time for the whole run so far, across all segments.
-    fn wall_so_far(&self) -> Duration {
-        self.wall_accum + self.segment_start.elapsed()
     }
 
     /// Captures everything needed to continue this run bit-identically.
@@ -433,13 +430,13 @@ impl RlVecRun {
             best: self.result.best.clone(),
             trace_bits: self.result.trace.iter().map(|c| c.to_bits()).collect(),
             initial_valid_cost_bits: self.result.initial_valid_cost.map(f64::to_bits),
-            wall_nanos: self.wall_so_far().as_nanos() as u64,
+            wall_nanos: self.wall.as_nanos() as u64,
             eval_stats: self.stats_so_far(),
         })
     }
 
     fn finish(mut self) -> RlSearchResult {
-        self.result.wall_time = self.wall_so_far();
+        self.result.wall_time = self.wall;
         self.result.eval_stats = self.stats_so_far();
         self.result.finish()
     }
@@ -449,7 +446,7 @@ impl RlVecRun {
     /// [`RlVecRun::finish`], applied to a clone of the state so far.
     fn partial_result(&self) -> RlSearchResult {
         let mut result = self.result.clone();
-        result.wall_time = self.wall_so_far();
+        result.wall_time = self.wall;
         result.eval_stats = self.stats_so_far();
         result.finish()
     }
@@ -615,7 +612,8 @@ pub struct FineTuneResult {
     pub trace: Vec<f64>,
     /// Evaluations spent.
     pub evaluations: usize,
-    /// Wall-clock time.
+    /// Wall-clock time spent inside the stage's own calls: the initial
+    /// population's pricing and each GA generation.
     pub wall_time: Duration,
     /// Evaluation-engine counters for the fine stage.
     pub eval_stats: EvalStats,
@@ -803,6 +801,7 @@ fn check_fits(problem: &HwProblem, assignment: &Assignment, what: &str) -> Resul
 
 /// In-flight state of one fine-tuning run: [`fine_tune`] re-expressed as a
 /// resumable stepper whose checkpoint granularity is one GA generation.
+/// Like [`RlVecRun`], it counts as wall time only its own calls.
 struct FineRun {
     problem: HwProblem,
     ga: LocalGa,
@@ -811,13 +810,14 @@ struct FineRun {
     cursor: FineCursor,
     rng: Rng,
     budget: usize,
-    /// Engine counters at the start of the current process segment.
+    /// Engine counters at the start of the current process segment, moved
+    /// past the queries of every `partial_result` since.
     stats_base: EvalStats,
     /// Engine counters carried over from pre-resume segments.
     stats_accum: EvalStats,
-    /// Wall time carried over from pre-resume segments.
-    wall_accum: Duration,
-    segment_start: Instant,
+    /// Time spent inside `start_batch` and `step_generation`, summed
+    /// across segments.
+    wall: Duration,
 }
 
 impl FineRun {
@@ -829,9 +829,10 @@ impl FineRun {
             dataflows,
         };
         let stats_base = problem.eval_stats();
-        let segment_start = Instant::now();
+        let start = Instant::now();
         let ga = LocalGa::new(LocalGaConfig::default());
         let cursor = ga.start_batch(&space, &init, evaluations, &mut eval, &mut rng);
+        let wall = start.elapsed();
         FineRun {
             problem: problem.clone(),
             ga,
@@ -842,8 +843,7 @@ impl FineRun {
             budget: evaluations,
             stats_base,
             stats_accum: EvalStats::default(),
-            wall_accum: Duration::ZERO,
-            segment_start,
+            wall,
         }
     }
 
@@ -899,20 +899,22 @@ impl FineRun {
             budget: evaluations,
             stats_base: problem.eval_stats(),
             stats_accum: state.eval_stats,
-            wall_accum: Duration::from_nanos(state.wall_nanos),
-            segment_start: Instant::now(),
+            wall: Duration::from_nanos(state.wall_nanos),
         })
     }
 
     /// Runs one GA generation; `false` once the budget is exhausted.
     fn step_generation(&mut self) -> bool {
-        self.ga.step_generation(
+        let start = Instant::now();
+        let more = self.ga.step_generation(
             &self.space,
             self.budget,
             &mut self.cursor,
             &mut self.eval,
             &mut self.rng,
-        )
+        );
+        self.wall += start.elapsed();
+        more
     }
 
     fn evaluations_done(&self) -> usize {
@@ -930,7 +932,7 @@ impl FineRun {
         FineStageState {
             rng_state: self.rng.state(),
             cursor: self.cursor.snapshot(),
-            wall_nanos: (self.wall_accum + self.segment_start.elapsed()).as_nanos() as u64,
+            wall_nanos: self.wall.as_nanos() as u64,
             eval_stats: self.stats_so_far(),
         }
     }
@@ -939,7 +941,12 @@ impl FineRun {
     /// recorded best like [`FineRun::finish`], but tolerantly: a best
     /// that fails to re-evaluate is dropped rather than panicking inside
     /// a degraded-outcome path.
-    fn partial_result(&self) -> FineTuneResult {
+    ///
+    /// The snapshot's counters include the queries of that re-pricing;
+    /// the run's do not, since `stats_base` moves past them, so a run
+    /// continued afterwards counts exactly the uninterrupted run's.
+    fn partial_result(&mut self) -> FineTuneResult {
+        let before = self.problem.eval_stats();
         let outcome = self.cursor.outcome().clone();
         let best = outcome.best.as_ref().and_then(|(genome, _)| {
             let layers = decode_fine_layers(genome, &self.eval.dataflows);
@@ -950,17 +957,20 @@ impl FineRun {
                     .evaluate_ls(layers[0].dataflow, layers[0].point),
             }
         });
+        let eval_stats = self.stats_so_far();
+        self.stats_base = self
+            .stats_base
+            .plus(self.problem.eval_stats().since(before));
         FineTuneResult {
             best,
             trace: outcome.trace,
             evaluations: outcome.evaluations,
-            wall_time: self.wall_accum + self.segment_start.elapsed(),
-            eval_stats: self.stats_so_far(),
+            wall_time: self.wall,
+            eval_stats,
         }
     }
 
     fn finish(self) -> FineTuneResult {
-        let wall_time = self.wall_accum + self.segment_start.elapsed();
         let outcome = self.cursor.into_outcome();
         let best = outcome.best.as_ref().map(|(genome, _)| {
             let layers = decode_fine_layers(genome, &self.eval.dataflows);
@@ -976,7 +986,7 @@ impl FineRun {
             best,
             trace: outcome.trace,
             evaluations: outcome.evaluations,
-            wall_time,
+            wall_time: self.wall,
             eval_stats: self
                 .stats_accum
                 .plus(self.problem.eval_stats().since(self.stats_base)),
@@ -1202,26 +1212,6 @@ impl SearchCheckpoint {
     pub fn load(path: &std::path::Path) -> Result<Self, SearchError> {
         let text = std::fs::read_to_string(path).map_err(|e| SearchError::io(path, e))?;
         Self::from_json(&text)
-    }
-
-    /// Tolerant counterpart of [`SearchCheckpoint::load`] for startup
-    /// paths that must not die on a torn checkpoint: a parseable file is
-    /// returned as usual, while a corrupt one is quarantined by renaming
-    /// it to `<name>.corrupt` and reported as `Ok(None)` — the caller
-    /// starts cold with a warning instead of refusing to start. Genuine
-    /// I/O failures (permissions, not-found) still `Err`.
-    pub fn load_salvaging(path: &std::path::Path) -> Result<Option<Self>, SearchError> {
-        let text = std::fs::read_to_string(path).map_err(|e| SearchError::io(path, e))?;
-        match Self::from_json(&text) {
-            Ok(checkpoint) => Ok(Some(checkpoint)),
-            Err(_) => {
-                let mut quarantined = path.as_os_str().to_owned();
-                quarantined.push(".corrupt");
-                std::fs::rename(path, std::path::PathBuf::from(quarantined))
-                    .map_err(|e| SearchError::io(path, e))?;
-                Ok(None)
-            }
-        }
     }
 }
 
@@ -1459,11 +1449,15 @@ impl TwoStageRunner {
 
     /// The best-so-far result across whatever stages have run — a valid
     /// [`TwoStageResult`] even mid-flight. This is the degraded-outcome
-    /// path: a deadline-stopped or cancelled job reduces this to a
+    /// path: a deadline-stopped job reduces this to a
     /// [`SearchOutcome`](crate::SearchOutcome) marked degraded instead of
     /// erroring. On a finished runner it is exactly the final result.
-    pub fn partial_result(&self) -> TwoStageResult {
-        match self.stage.as_ref().expect("runner stage present") {
+    ///
+    /// Mid-fine, the result re-prices the fine stage's best and counts
+    /// those queries; the runner does not, so stepping on afterwards
+    /// reproduces the uninterrupted run's counters.
+    pub fn partial_result(&mut self) -> TwoStageResult {
+        match self.stage.as_mut().expect("runner stage present") {
             RunnerStage::Global(run) => TwoStageResult {
                 global: run.partial_result(),
                 fine: None,
@@ -1688,6 +1682,45 @@ mod tests {
         let resumed = TwoStageRunner::resume(&tiny_problem(), &checkpoint).unwrap();
         assert_eq!(resumed.eval_stats(), at);
         assert_eq!(resumed.into_result().outcome().eval_stats, done);
+    }
+
+    #[test]
+    fn partial_result_mid_fine_leaves_the_run_counters_alone() {
+        let cfg = small_config();
+        let uninterrupted = two_stage_search(&tiny_problem(), &cfg, 19).outcome();
+        let mut runner = TwoStageRunner::new(&tiny_problem(), &cfg, 19);
+        while runner.fine_evaluations_done() == 0 {
+            assert!(runner.step(), "search ended before the fine stage");
+        }
+        let before = runner.eval_stats();
+        let partial = runner.partial_result().outcome();
+        assert!(
+            partial.eval_stats.misses > before.misses,
+            "the snapshot counts the queries that re-price its best"
+        );
+        assert_eq!(runner.eval_stats(), before);
+        while runner.step() {}
+        let done = runner.result().unwrap().outcome();
+        assert_eq!(done.eval_stats, uninterrupted.eval_stats);
+    }
+
+    #[test]
+    fn wall_time_leaves_out_the_time_between_steps() {
+        let pause = Duration::from_millis(50);
+        let start = Instant::now();
+        let mut runner = TwoStageRunner::new(&tiny_problem(), &small_config(), 19);
+        while runner.fine_evaluations_done() == 0 {
+            assert!(runner.step(), "search ended before the fine stage");
+        }
+        std::thread::sleep(pause);
+        assert!(runner.step(), "fine stage over before the pause");
+        while runner.step() {}
+        let total = start.elapsed();
+        let wall = runner.result().unwrap().outcome().wall_time();
+        assert!(
+            wall <= total - pause,
+            "wall time {wall:?} of {total:?} counts the {pause:?} pause"
+        );
     }
 
     /// A `tiny_problem` search at seed 19 stopped once it has spent at
@@ -1971,44 +2004,6 @@ mod tests {
     }
 
     #[test]
-    fn load_salvaging_quarantines_garbage_and_loads_valid() {
-        let dir = std::env::temp_dir().join(format!(
-            "confx-ckpt-salvage-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-
-        // A corrupt checkpoint is quarantined, not a startup error.
-        let path = dir.join("search.ckpt.json");
-        std::fs::write(&path, "{\"version\": 1, \"glo").unwrap();
-        let loaded = SearchCheckpoint::load_salvaging(&path).expect("corruption is not an error");
-        assert!(loaded.is_none());
-        assert!(!path.exists(), "corrupt file must be moved aside");
-        let quarantined = dir.join("search.ckpt.json.corrupt");
-        assert!(quarantined.exists(), "corrupt file must be quarantined");
-
-        // A valid checkpoint still loads bit-exactly through the same API.
-        let problem = tiny_problem();
-        let mut runner = TwoStageRunner::new(&problem, &small_config(), 19);
-        for _ in 0..3 {
-            assert!(runner.step());
-        }
-        let checkpoint = runner.checkpoint().unwrap();
-        checkpoint.save(&path).unwrap();
-        let loaded = SearchCheckpoint::load_salvaging(&path)
-            .expect("valid file loads")
-            .expect("valid file is not quarantined");
-        assert_eq!(loaded.to_json(), checkpoint.to_json());
-        assert!(path.exists());
-
-        // A missing file is still a real error, distinct from corruption.
-        assert!(SearchCheckpoint::load_salvaging(&dir.join("absent.json")).is_err());
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn partial_result_is_valid_at_every_stage() {
         let cfg = small_config();
         let problem = tiny_problem();
@@ -2040,8 +2035,8 @@ mod tests {
 
         // Done: partial and final results coincide.
         while runner.step() {}
-        let done = runner.result().unwrap();
-        assert_results_equal(&runner.partial_result(), done);
+        let done = runner.result().unwrap().clone();
+        assert_results_equal(&runner.partial_result(), &done);
     }
 
     #[test]

@@ -18,7 +18,9 @@ pub struct EpochReport {
 ///
 /// All seven algorithms in this crate implement this trait, which is what
 /// lets the experiment harness compare them under identical epoch budgets.
-pub trait Agent {
+/// Agents are `Send`, so a search that owns one can move between threads
+/// or wait, stopped, in a job registry.
+pub trait Agent: Send {
     /// Runs one episode per entry of `rngs` through a vectorized
     /// environment — replica `i` driven exclusively by `rngs[i]` — and
     /// updates the agent's parameters (possibly buffered across episodes,

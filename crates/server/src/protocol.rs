@@ -76,11 +76,14 @@ pub enum Request {
     Attach { job: u64, from_seq: u64 },
     /// Ask a running job to stop at the next step boundary.
     Cancel { job: u64 },
-    /// Re-enqueue a cancelled/failed/degraded job. It continues from the
-    /// in-memory checkpoint taken when it last stopped cleanly, or
-    /// restarts from its spec if it has none; either way it ends with the
-    /// uninterrupted run's digest. A connection that does not follow the
-    /// job yet is attached to the resumed run's events.
+    /// Re-enqueue a cancelled/failed/degraded job. It continues with the
+    /// runner parked when it last stopped cleanly (cancel, shutdown,
+    /// deadline), at the step it stopped at. A job without a parked runner
+    /// restarts from its spec; so does a failed job, since a worker panic
+    /// takes the runner with it, even one that a resume had handed back.
+    /// Either way the job ends with the uninterrupted run's digest and
+    /// eval stats. A connection that does not follow the job yet is
+    /// attached to the resumed run's events.
     Resume { job: u64 },
     /// List all jobs the daemon knows about.
     Jobs,
@@ -133,7 +136,7 @@ pub enum Event {
         seq: u64,
         outcome: SearchOutcome,
     },
-    /// The job was stopped early (deadline expired, shutdown) but still
+    /// The job was stopped early (its deadline expired) but still
     /// produced a usable answer: `outcome` is the best-so-far
     /// [`SearchOutcome`] with its `degraded` field set to `reason`. A
     /// partial answer, not an error — terminal like [`Event::Done`].
@@ -149,9 +152,8 @@ pub enum Event {
     /// capacity. No job was created; retry after `retry_after_ms`.
     Rejected { retry_after_ms: u64 },
     /// The job honoured a [`Request::Cancel`] or a shutdown at a step
-    /// boundary. Its runner was checkpointed there (when stage 1 supports
-    /// checkpoints), so [`Request::Resume`] continues from exactly that
-    /// step.
+    /// boundary. It carries no outcome: its runner is parked there, so
+    /// [`Request::Resume`] continues from exactly that step.
     Cancelled { job: u64, seq: u64 },
     /// Answer to [`Request::Attach`]: `replayed` buffered events follow
     /// immediately, then live ones.

@@ -10,7 +10,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 
-use confuciux::{JobSpec, SearchCheckpoint, SearchOutcome};
+use confuciux::{JobSpec, TwoStageRunner};
 
 use crate::protocol::{Event, JobSummary};
 
@@ -71,12 +71,11 @@ pub struct JobState {
     next_seq: u64,
     /// Live event streams; pruned when a send fails (client gone).
     subscribers: Vec<mpsc::Sender<Event>>,
-    /// Resume point taken when the job last stopped cleanly at a step
-    /// boundary (cancel, shutdown, deadline); cleared once it is done.
-    /// Without one, a resume restarts the job from its spec.
-    pub checkpoint: Option<SearchCheckpoint>,
-    /// Final summary, once [`JobStatus::Done`].
-    pub outcome: Option<SearchOutcome>,
+    /// The live runner of a job that stopped cleanly at a step boundary
+    /// (cancel, shutdown, deadline), parked here until a resume takes it
+    /// back. A job without one (never stopped cleanly, or failed since)
+    /// restarts from its spec.
+    pub runner: Option<TwoStageRunner>,
 }
 
 impl JobState {
@@ -87,8 +86,7 @@ impl JobState {
             ring: VecDeque::new(),
             next_seq: 0,
             subscribers: Vec::new(),
-            checkpoint: None,
-            outcome: None,
+            runner: None,
         }
     }
 
@@ -167,17 +165,6 @@ impl Registry {
         state
             .subscribers
             .retain(|tx| tx.send(event.clone()).is_ok());
-    }
-
-    /// Subscribes `tx` to a job's future events (no replay).
-    pub fn subscribe(&self, id: u64, tx: mpsc::Sender<Event>) -> bool {
-        match self.job(id) {
-            Some(job) => {
-                lock_recovering(&job).subscribers.push(tx);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Reconnect catch-up: sends an [`Event::Attached`] header, replays
@@ -394,7 +381,7 @@ mod tests {
         let reg = Registry::new();
         let id = reg.insert(spec());
         let (tx, rx) = mpsc::channel();
-        assert!(reg.subscribe(id, tx));
+        assert_eq!(reg.attach(id, 0, tx, true), Some(0));
         drop(rx);
         reg.publish(id, |seq| Event::Started { job: id, seq });
         let n = reg.with_job(id, |s| s.subscribers.len()).unwrap();

@@ -9,11 +9,11 @@
 //! its progress counters and outcome count only its own cost queries.
 //!
 //! A running job is never snapshotted. When it stops at a step boundary
-//! (cancel, shutdown, deadline) it checkpoints its runner once, there, and
-//! `Resume` continues from that point; a job without one (a worker panic
-//! before any clean stop) restarts from its spec. The spec and seed fix
-//! the search, so either way the job ends with the uninterrupted run's
-//! digest.
+//! (cancel, shutdown, deadline) its live runner is parked in the registry,
+//! and `Resume` hands it back to a worker, which steps on from that point.
+//! A job without a parked runner (a worker panic takes its runner with it)
+//! restarts from its spec. The spec and seed fix the search, so either
+//! way the job ends with the uninterrupted run's digest.
 //!
 //! Hardening (see [`crate::faults`] for the chaos harness that tests it):
 //!
@@ -22,8 +22,8 @@
 //!   poison-recovering idiom (`registry::lock_recovering`).
 //! * Per-job deadlines: a job whose `deadline_ms` expires is stopped at
 //!   its next step boundary and reports its best-so-far outcome marked
-//!   degraded — a partial answer, not an error. Cancelled/shutdown jobs
-//!   reuse the same best-so-far path.
+//!   degraded — a partial answer, not an error. Cancelled and shutdown
+//!   jobs report no outcome; they stop the same way, ready to resume.
 //! * Admission control: submits beyond [`ServerConfig::max_active`]
 //!   queued+running jobs get `Rejected{retry_after_ms}` instead of an
 //!   unbounded queue.
@@ -36,7 +36,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use confuciux::{JobSpec, SearchCheckpoint, SearchError, SearchOutcome, TwoStageRunner};
+use confuciux::{JobSpec, SearchError, TwoStageRunner};
 
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::protocol::{poll_frame, write_frame, Event, FrameError, Polled, Request};
@@ -114,9 +114,9 @@ impl Inner {
         Ok(Submission::Accepted(id))
     }
 
-    /// Re-enqueues a cancelled/failed/degraded job. It continues from the
-    /// checkpoint its last clean stop took, or restarts from its spec if
-    /// it has none. Resumes bypass admission control: the job was already
+    /// Re-enqueues a cancelled/failed/degraded job. It continues with the
+    /// runner its last clean stop parked, or restarts from its spec if it
+    /// has none. Resumes bypass admission control: the job was already
     /// admitted once and still holds its slot in the registry.
     fn resume(&self, id: u64) -> Result<(), String> {
         let accepted = self.registry.with_job(id, |state| {
@@ -263,39 +263,14 @@ fn fail_job(inner: &Inner, id: u64, error: String) {
     });
 }
 
-/// Records a job's terminal status and outcome in the registry, together
-/// with its resume point (`None` once the job is done), so a `Resume` that
-/// sees the new status also sees the checkpoint.
-fn settle(
-    inner: &Inner,
-    id: u64,
-    status: JobStatus,
-    outcome: &SearchOutcome,
-    checkpoint: Option<SearchCheckpoint>,
-) {
+/// Stops a job cleanly at a step boundary: parks its runner and sets its
+/// status under one job lock, so a `Resume` that sees the new status also
+/// finds the runner.
+fn park(inner: &Inner, id: u64, runner: TwoStageRunner, status: JobStatus) {
     inner.registry.with_job(id, |state| {
         state.status = status;
-        state.outcome = Some(outcome.clone());
-        state.checkpoint = checkpoint;
+        state.runner = Some(runner);
     });
-}
-
-/// Stops a job cleanly at a step boundary: checkpoints the runner for
-/// `Resume`, then settles its best-so-far outcome, marked degraded with
-/// `reason`. The checkpoint comes first because the fine stage's
-/// best-so-far re-prices its best point, and the resumed run must not
-/// count that query.
-fn stop_job(
-    inner: &Inner,
-    id: u64,
-    runner: &TwoStageRunner,
-    status: JobStatus,
-    reason: &str,
-) -> SearchOutcome {
-    let checkpoint = runner.checkpoint().ok();
-    let outcome = runner.partial_result().outcome().into_degraded(reason);
-    settle(inner, id, status, &outcome, checkpoint);
-    outcome
 }
 
 /// Renders a caught panic payload for a `Failed{diagnostic}` event.
@@ -317,19 +292,19 @@ fn run_job(inner: &Arc<Inner>, id: u64) {
     let Some(job) = inner.registry.job(id) else {
         return;
     };
-    let (spec, resume_from) = {
+    let (spec, parked) = {
         let mut state = lock_recovering(&job);
         if state.status != JobStatus::Queued {
             return;
         }
         state.status = JobStatus::Running;
-        (state.spec.clone(), state.checkpoint.clone())
+        (state.spec.clone(), state.runner.take())
     };
     inner
         .registry
         .publish(id, |seq| Event::Started { job: id, seq });
     let drove = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        drive_job(inner, id, &spec, resume_from)
+        drive_job(inner, id, &spec, parked)
     }));
     if let Err(payload) = drove {
         fail_job(
@@ -340,23 +315,15 @@ fn run_job(inner: &Arc<Inner>, id: u64) {
     }
 }
 
-/// Steps the job's runner to completion, deadline expiry, or
-/// cancellation, publishing progress along the way. Every early stop goes
-/// through the same best-so-far path ([`TwoStageRunner::partial_result`]):
-/// the difference between a deadline, a cancel, and a shutdown is only
-/// the terminal status and event, never the quality of the answer. An
-/// early stop is also the only point where the runner is checkpointed.
-fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<SearchCheckpoint>) {
-    let problem = match spec.build() {
-        Ok(p) => p,
+/// Steps the job's runner (the one its last clean stop parked, or a fresh
+/// one from its spec) to completion, deadline expiry, or cancellation,
+/// publishing progress along the way. Every early stop parks the runner:
+/// a cancel or a shutdown reports nothing more, and a deadline also
+/// reports the best-so-far outcome ([`TwoStageRunner::partial_result`]).
+fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, parked: Option<TwoStageRunner>) {
+    let mut runner = match parked.map_or_else(|| spec.clone().into_runner(), Ok) {
+        Ok(runner) => runner,
         Err(e) => return fail_job(inner, id, e.to_string()),
-    };
-    let mut runner = match &resume_from {
-        Some(checkpoint) => match TwoStageRunner::resume(&problem, checkpoint) {
-            Ok(r) => r,
-            Err(e) => return fail_job(inner, id, format!("resume failed: {e}")),
-        },
-        None => TwoStageRunner::new(&problem, &spec.two_stage_config(), spec.seed),
     };
     let cancel = inner
         .registry
@@ -370,12 +337,7 @@ fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<Se
 
     loop {
         if cancel.load(Ordering::Relaxed) || inner.shutdown.load(Ordering::Relaxed) {
-            let reason = if cancel.load(Ordering::Relaxed) {
-                "cancelled"
-            } else {
-                "daemon shutdown"
-            };
-            stop_job(inner, id, &runner, JobStatus::Cancelled, reason);
+            park(inner, id, runner, JobStatus::Cancelled);
             inner
                 .registry
                 .publish(id, |seq| Event::Cancelled { job: id, seq });
@@ -383,7 +345,8 @@ fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<Se
         }
         if deadline.is_some_and(|limit| started.elapsed() >= limit) {
             let reason = format!("deadline {}ms expired", spec.deadline_ms.unwrap_or(0));
-            let outcome = stop_job(inner, id, &runner, JobStatus::Degraded, &reason);
+            let outcome = runner.partial_result().outcome().into_degraded(&reason);
+            park(inner, id, runner, JobStatus::Degraded);
             inner.registry.publish(id, |seq| Event::Degraded {
                 job: id,
                 seq,
@@ -412,7 +375,9 @@ fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<Se
         .result()
         .expect("step() returned false, so the runner is done")
         .outcome();
-    settle(inner, id, JobStatus::Done, &outcome, None);
+    inner
+        .registry
+        .with_job(id, |state| state.status = JobStatus::Done);
     inner.registry.publish(id, |seq| Event::Done {
         job: id,
         seq,

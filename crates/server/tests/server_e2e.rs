@@ -1,14 +1,14 @@
 //! End-to-end daemon tests over real TCP sockets: per-job evaluation
 //! counters for concurrent and back-to-back jobs, reconnect-with-catchup
-//! after a killed client, cancel/resume from the checkpoint a clean stop
-//! takes, restart from the spec, and the fault-injection paths.
+//! after a killed client, cancel/resume with the runner a clean stop
+//! parks, restart from the spec, and the fault-injection paths.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
-use confuciux::{EvalStats, JobBudget, JobSpec, SearchOutcome};
+use confuciux::{AlgorithmKind, EvalStats, JobBudget, JobSpec, SearchOutcome};
 use confuciux_server::{read_frame, write_frame, Event, FaultPlan, Request, Server, ServerConfig};
 
 fn start_server(config: ServerConfig) -> (thread::JoinHandle<()>, SocketAddr) {
@@ -340,8 +340,18 @@ fn cancel_then_resume_finishes_bit_identically() {
         workers: 2,
         ..ServerConfig::default()
     });
-    let (before, after) = submit_cancel_resume(addr, cancel_spec(), 0);
-    assert_resumed_exactly(cancel_spec(), &before, &after);
+    // PPO2 holds an in-flight episode buffer that no saved state covers:
+    // only the parked runner resumes it at the step it stopped at.
+    let mut ppo2 = cancel_spec();
+    ppo2.algo = AlgorithmKind::Ppo2;
+    ppo2.budget = JobBudget {
+        global_epochs: 10,
+        fine_evaluations: 40,
+    };
+    for spec in [cancel_spec(), ppo2] {
+        let (before, after) = submit_cancel_resume(addr, spec.clone(), 0);
+        assert_resumed_exactly(spec, &before, &after);
+    }
 
     shut_down(addr);
     serve.join().unwrap();
@@ -350,9 +360,8 @@ fn cancel_then_resume_finishes_bit_identically() {
 #[test]
 fn cancel_in_the_fine_stage_resumes_exactly() {
     let (serve, addr) = start_server(ServerConfig::default());
-    // A long fine stage, cancelled mid-fine: the stop's best-so-far
-    // re-prices the fine best, which the checkpoint taken at the stop
-    // must not count.
+    // A long fine stage, cancelled mid-fine: the parked runner resumes
+    // the GA at the generation it stopped at, and counts each query once.
     let mut spec = cancel_spec();
     spec.budget.fine_evaluations = 20_000;
     let (before, after) = submit_cancel_resume(addr, spec.clone(), 1);
@@ -412,7 +421,7 @@ fn job_failed_before_its_first_step_resumes_from_its_spec() {
     let (expected, _) = library_run(&spec);
 
     // The injected panic fires before the job's first step, so no clean
-    // stop ever checkpointed it.
+    // stop ever parked its runner.
     let mut stream = connect(addr);
     write_frame(&mut stream, &Request::Submit { spec }).unwrap();
     let job = submitted_job(&mut stream);
@@ -494,8 +503,8 @@ fn deadline_expiry_returns_degraded_best_so_far() {
         other => panic!("expected JobList, got {other:?}"),
     }
 
-    // The deadline stop checkpointed the job: a resume continues from the
-    // step it stopped at (one epoch per step), with a fresh deadline
+    // The deadline stop parked the job's runner: a resume continues from
+    // the step it stopped at (one epoch per step), with a fresh deadline
     // window. Then cancel it.
     write_frame(&mut stream, &Request::Resume { job }).unwrap();
     assert_eq!(submitted_job(&mut stream), job);
