@@ -5,18 +5,22 @@
 //! checkpoint carries for the steps before the kill.
 //!
 //! Exercised for both a mid-global (RL stage) and a mid-fine (GA stage)
-//! kill point, at the default `--n-envs`.
+//! kill point, at the default `--n-envs`, for the layer-pipelined spec
+//! and for the same spec deployed layer-sequentially. In LS every episode
+//! is one step from the LSTM's zero state, so the LSTM's recurrent weights
+//! stay at rest and the checkpoint stores them with no Adam moments.
 
 use std::path::Path;
 
 use confuciux::{
-    two_stage_search, ConstraintKind, EvalStats, Fnv, HwProblem, JobSpec, Objective, PlatformClass,
-    SearchCheckpoint, TwoStageConfig, TwoStageResult, TwoStageRunner,
+    two_stage_search, ConstraintKind, Deployment, EvalStats, Fnv, HwProblem, JobSpec, Objective,
+    PlatformClass, SearchCheckpoint, TwoStageConfig, TwoStageResult, TwoStageRunner,
 };
 use confuciux_bench::{standard_spec, Args};
 use maestro::Dataflow;
 
-/// The spec every scenario runs; one [`JobSpec`] describes the whole job.
+/// The spec every scenario runs, layer-pipelined; the LS scenarios run it
+/// with only `deployment` changed. One [`JobSpec`] describes the whole job.
 fn smoke_spec(args: &Args) -> JobSpec {
     let mut spec = standard_spec(
         "tiny_cnn",
@@ -98,44 +102,55 @@ fn killed_and_resumed(
 
 fn main() {
     let args = Args::parse(60);
-    let spec = smoke_spec(&args);
-    let cfg = spec.two_stage_config();
-
-    let uninterrupted = two_stage_search(&fresh_problem(&spec), &cfg, spec.seed);
-    let reference = digest(&uninterrupted);
-    println!("uninterrupted_digest={reference:#018x}");
-
     let mut failed = false;
-    let scenarios: [(&str, KillFn); 2] = [
-        ("mid_global", |r| r.global_epochs_done() >= 8),
-        ("mid_fine", |r| r.fine_evaluations_done() > 30),
-    ];
-    for (name, kill) in scenarios {
-        let path = args.out.join(format!("checkpoint_smoke_{name}.ckpt.json"));
-        let resumed = killed_and_resumed(&spec, &cfg, &path, kill);
-        let got = digest(&resumed);
-        let stats = resumed.global.eval_stats;
-        println!(
-            "{name}_digest={got:#018x} global_hits={} global_misses={} hit_rate={:.3}",
-            stats.hits,
-            stats.misses,
-            stats.hit_rate()
-        );
-        if got != reference {
-            eprintln!("FAIL: {name} resume diverged from the uninterrupted run");
-            failed = true;
-        }
-        if stats != uninterrupted.global.eval_stats {
-            eprintln!(
-                "FAIL: {name} counters diverged (expected {:?}, got {stats:?})",
-                uninterrupted.global.eval_stats
+    for (prefix, deployment) in [
+        ("", Deployment::LayerPipelined),
+        ("ls_", Deployment::LayerSequential),
+    ] {
+        let spec = JobSpec {
+            deployment,
+            ..smoke_spec(&args)
+        };
+        let cfg = spec.two_stage_config();
+
+        let uninterrupted = two_stage_search(&fresh_problem(&spec), &cfg, spec.seed);
+        let reference = digest(&uninterrupted);
+        println!("{prefix}uninterrupted_digest={reference:#018x}");
+
+        let scenarios: [(&str, KillFn); 2] = [
+            ("mid_global", |r| r.global_epochs_done() >= 8),
+            ("mid_fine", |r| r.fine_evaluations_done() > 30),
+        ];
+        for (name, kill) in scenarios {
+            let name = format!("{prefix}{name}");
+            let path = args.out.join(format!("checkpoint_smoke_{name}.ckpt.json"));
+            let resumed = killed_and_resumed(&spec, &cfg, &path, kill);
+            let got = digest(&resumed);
+            let stats = resumed.global.eval_stats;
+            println!(
+                "{name}_digest={got:#018x} global_hits={} global_misses={} hit_rate={:.3}",
+                stats.hits,
+                stats.misses,
+                stats.hit_rate()
             );
-            failed = true;
+            if got != reference {
+                eprintln!("FAIL: {name} resume diverged from the uninterrupted run");
+                failed = true;
+            }
+            if stats != uninterrupted.global.eval_stats {
+                eprintln!(
+                    "FAIL: {name} counters diverged (expected {:?}, got {stats:?})",
+                    uninterrupted.global.eval_stats
+                );
+                failed = true;
+            }
         }
     }
 
     if failed {
         std::process::exit(1);
     }
-    println!("kill-and-resume smoke passed: both kill points resume bit-identically");
+    println!(
+        "kill-and-resume smoke passed: all four kill points (LP and LS) resume bit-identically"
+    );
 }

@@ -1059,8 +1059,16 @@ pub fn two_stage_search(problem: &HwProblem, config: &TwoStageConfig, seed: u64)
 }
 
 /// Checkpoint format version; bumped whenever the on-disk layout changes
-/// incompatibly. [`TwoStageRunner::resume`] rejects other versions.
-pub const SEARCH_CHECKPOINT_VERSION: u32 = 1;
+/// incompatibly. [`TwoStageRunner::resume`] reads this version and
+/// version 1 and rejects others.
+///
+/// Version 2 stores an Adam moment that has never left `+0.0` as an empty
+/// matrix (see [`tinynn::Param`]), so an LS checkpoint no longer carries
+/// the resting `Wh`'s zero moments; a version-1 reader would take the
+/// empty moments at face value and never step those parameters. Version 1
+/// stores every moment, which reads as the same values, so version-1
+/// files resume exactly.
+pub const SEARCH_CHECKPOINT_VERSION: u32 = 2;
 
 /// Serializable mid-stage state of the global RL search. Floats that may
 /// be non-finite (the `inf` trace sentinel) are stored bit-for-bit as
@@ -1273,9 +1281,9 @@ impl TwoStageRunner {
     /// configuration come from the checkpoint; `problem` must be rebuilt
     /// identically to the checkpointed run's.
     pub fn resume(problem: &HwProblem, checkpoint: &SearchCheckpoint) -> Result<Self, SearchError> {
-        if checkpoint.version != SEARCH_CHECKPOINT_VERSION {
+        if !(1..=SEARCH_CHECKPOINT_VERSION).contains(&checkpoint.version) {
             return Err(SearchError::Format(format!(
-                "checkpoint version {} unsupported (expected {SEARCH_CHECKPOINT_VERSION})",
+                "checkpoint version {} unsupported (expected 1 to {SEARCH_CHECKPOINT_VERSION})",
                 checkpoint.version
             )));
         }
@@ -1998,9 +2006,81 @@ mod tests {
         let cfg = small_config();
         let mut runner = TwoStageRunner::new(&problem, &cfg, 19);
         runner.step();
+        let checkpoint = runner.checkpoint().unwrap();
+        for version in [0, SEARCH_CHECKPOINT_VERSION + 1] {
+            let checkpoint = SearchCheckpoint {
+                version,
+                ..checkpoint.clone()
+            };
+            assert!(TwoStageRunner::resume(&problem, &checkpoint).is_err());
+        }
+    }
+
+    /// Rewrites every empty Adam moment in a saved agent state as
+    /// explicit `+0.0` of its weight's shape, as version 1 stored it, and
+    /// returns how many it rewrote.
+    fn store_every_moment(state: &mut serde::Value) -> usize {
+        match state {
+            serde::Value::Object(fields)
+                if fields
+                    .iter()
+                    .map(|(k, _)| k.as_str())
+                    .eq(["w", "g", "m", "v"]) =>
+            {
+                let mut param: tinynn::Param = Deserialize::from_value(state).unwrap();
+                let (r, c) = param.w.shape();
+                let mut rewritten = 0;
+                for moment in [&mut param.m, &mut param.v] {
+                    if moment.data().is_empty() {
+                        *moment = tinynn::Matrix::zeros(r, c);
+                        rewritten += 1;
+                    }
+                }
+                *state = param.to_value();
+                rewritten
+            }
+            serde::Value::Object(fields) => {
+                fields.iter_mut().map(|(_, v)| store_every_moment(v)).sum()
+            }
+            serde::Value::Array(items) => items.iter_mut().map(store_every_moment).sum(),
+            _ => 0,
+        }
+    }
+
+    /// A version-1 file stores every Adam moment, the resting `Wh`'s as
+    /// explicit zeros: an LS search resumed from one mid-global matches
+    /// the uninterrupted run's digest and engine counters.
+    #[test]
+    fn version_1_checkpoint_resumes_exactly() {
+        let problem = HwProblem::builder(dnn_models::tiny_cnn())
+            .deployment(Deployment::LayerSequential)
+            .constraint(ConstraintKind::Area, PlatformClass::Iot)
+            .build();
+        let cfg = small_config();
+        let uninterrupted = two_stage_search(&problem, &cfg, 19).outcome();
+        let mut runner = TwoStageRunner::new(&problem, &cfg, 19);
+        for _ in 0..5 {
+            assert!(runner.step());
+        }
         let mut checkpoint = runner.checkpoint().unwrap();
-        checkpoint.version += 1;
-        assert!(TwoStageRunner::resume(&problem, &checkpoint).is_err());
+        drop(runner);
+        let agent = &mut checkpoint.global.as_mut().unwrap().agent;
+        assert!(store_every_moment(agent) >= 2, "Wh's moments were stored");
+        checkpoint.version = 1;
+        let path = std::env::temp_dir()
+            .join(format!("confuciux_v1_resume_{}", std::process::id()))
+            .join("v1.ckpt.json");
+        checkpoint.save(&path).unwrap();
+        let loaded = SearchCheckpoint::load(&path).unwrap();
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        assert_eq!(loaded.version, 1);
+
+        let resumed = TwoStageRunner::resume(&problem, &loaded)
+            .expect("a version-1 checkpoint resumes")
+            .into_result()
+            .outcome();
+        assert_eq!(resumed.digest(), uninterrupted.digest());
+        assert_eq!(resumed.eval_stats, uninterrupted.eval_stats);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use serde::{Deserialize, Serialize};
 
-use crate::matrix::{all_pos_zero, all_zero};
-use crate::Param;
+use crate::matrix::all_pos_zero;
+use crate::{Matrix, Param};
 
 /// The Adam optimizer (Kingma & Ba, 2015) with bias correction.
 ///
@@ -81,10 +81,18 @@ impl Adam {
     /// (AVX when the CPU has it, picked at runtime like the GEMMs); `/` and
     /// `sqrt` are correctly rounded, so the lane width never changes a bit.
     ///
+    /// Moments are lazy: an empty `m` or `v` stands for `+0.0` in every
+    /// element, and is allocated as such just before a parameter's first
+    /// fused pass, so the pass computes what it would from stored zeros.
+    ///
     /// A parameter at rest is skipped whole: its gradient is all `±0.0`
-    /// and its `m` and `v` are all `+0.0` bit patterns, as the LSTM's `Wh`
-    /// stays when every episode is one step from the zero state. At most
-    /// its gradient is written, to `+0.0`. The skip needs this step to map
+    /// and its `m` and `v` are empty or all `+0.0` bit patterns, as the
+    /// LSTM's `Wh` stays when every episode is one step from the zero
+    /// state. The norm pass reports which gradients are all `±0.0`, so
+    /// proving rest re-reads no gradient, and moments that are empty cost
+    /// nothing to read. A skipped parameter has at most its gradient
+    /// written, to `+0.0`, and is left with no moments (all-`+0.0` ones
+    /// are dropped: empty means the same). The skip needs this step to map
     /// such an element to itself, which a check decides once per update by
     /// running the fused pass's own expressions on one: `m` and `v` must
     /// come out `+0.0` and the step subtracted from `w` exactly `+0.0`,
@@ -95,6 +103,11 @@ impl Adam {
     /// call-site skips; the other two spare the LSTM's `h·Wh` and `dWh`
     /// from the zero state (see [`crate::Matrix::matmul`]). No kernel
     /// skips a zero term.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a parameter's `m` or `v` is neither empty nor of `w`'s
+    /// shape.
     pub fn update(&mut self, params: &mut [&mut Param], max_grad_norm: f32) {
         self.update_with(params, max_grad_norm, adam_param);
     }
@@ -105,7 +118,8 @@ impl Adam {
         max_grad_norm: f32,
         body: impl Fn(&mut Param, &StepConsts),
     ) {
-        let total: f32 = params.iter().map(|p| p.grad_norm_sq()).sum::<f32>().sqrt();
+        let scans: Vec<(f32, Grad)> = params.iter().map(|p| scan_grad(p.g.data())).collect();
+        let total: f32 = scans.iter().map(|&(sq, _)| sq).sum::<f32>().sqrt();
         self.t += 1;
         let mut consts = StepConsts {
             lr: self.lr,
@@ -120,10 +134,85 @@ impl Adam {
             rest_is_fixed: false,
         };
         consts.rest_is_fixed = consts.fixes_rest();
-        for p in params.iter_mut() {
+        for (p, &(_, grad)) in params.iter_mut().zip(&scans) {
+            let Param { w, g, m, v } = &mut **p;
+            if consts.rest_is_fixed
+                && grad != Grad::Nonzero
+                && all_pos_zero(m.data())
+                && all_pos_zero(v.data())
+            {
+                // At rest the step leaves `w`, `m` and `v` as they are, so
+                // only a `-0.0` in the gradient needs writing.
+                if grad == Grad::SignedZero {
+                    g.fill(0.0);
+                }
+                *m = Matrix::default();
+                *v = Matrix::default();
+                continue;
+            }
+            let (rows, cols) = w.shape();
+            for moment in [m, v] {
+                if moment.data().is_empty() {
+                    *moment = Matrix::zeros(rows, cols);
+                }
+                assert_eq!(moment.shape(), (rows, cols), "Adam moment shape");
+            }
             body(p, &consts);
         }
     }
+}
+
+/// What the norm pass found in one parameter's gradient.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Grad {
+    /// Every element is `+0.0`.
+    PosZero,
+    /// Every element is `±0.0`, and at least one is `-0.0`.
+    SignedZero,
+    /// Some element is neither.
+    Nonzero,
+}
+
+/// One gradient's squared L2 norm (for clipping), the squares added one
+/// by one in element order from `+0.0`, and what the gradient holds.
+///
+/// Blocks of 64 elements that are exactly `±0.0` are skipped whole. Their
+/// squares are `+0.0`, and adding `+0.0` to a sum that started at `+0.0`
+/// leaves it unchanged, so the skip returns the same bits as the plain
+/// element-order sum. Such blocks are common: after a one-step episode the
+/// recurrent weights' gradient is all zero, since the state they multiply
+/// is the zero initial state. The skipped blocks' sign bits tell `+0.0`
+/// from `-0.0`.
+fn scan_grad(g: &[f32]) -> (f32, Grad) {
+    let mut sum = 0.0f32;
+    let mut nonzero = false;
+    let mut zero_signs = 0u32;
+    let mut scan = |block: &[f32]| {
+        let bits = block.iter().fold(0, |any, v| any | v.to_bits());
+        // Shifting out the sign bit leaves 0 exactly for ±0.0.
+        if bits << 1 == 0 {
+            zero_signs |= bits;
+        } else {
+            nonzero = true;
+            for v in block {
+                sum += v * v;
+            }
+        }
+    };
+    // Fixed-size blocks let the compiler unroll and vectorize the ORs.
+    let (blocks, tail) = g.as_chunks::<64>();
+    for block in blocks {
+        scan(block);
+    }
+    scan(tail);
+    let grad = if nonzero {
+        Grad::Nonzero
+    } else if zero_signs != 0 {
+        Grad::SignedZero
+    } else {
+        Grad::PosZero
+    };
+    (sum, grad)
 }
 
 /// The fused per-parameter pass, on the widest lanes this CPU has.
@@ -147,20 +236,10 @@ unsafe fn adam_param_avx(p: &mut Param, k: &StepConsts) {
     adam_param_impl(p, k)
 }
 
+/// One parameter's scale → Adam → zero pass; its moments are allocated.
 #[inline(always)]
 fn adam_param_impl(p: &mut Param, k: &StepConsts) {
     let Param { w, g, m, v } = p;
-    // At rest the step leaves `w`, `m` and `v` as they are, so only a
-    // `-0.0` in the gradient needs writing.
-    if k.rest_is_fixed && all_pos_zero(m.data()) && all_pos_zero(v.data()) {
-        if all_pos_zero(g.data()) {
-            return;
-        }
-        if all_zero(g.data()) {
-            g.fill(0.0);
-            return;
-        }
-    }
     let elems = w
         .data_mut()
         .iter_mut()
@@ -191,7 +270,7 @@ fn adam_step(w: f32, g: f32, m: f32, v: f32, k: &StepConsts) -> (f32, f32, f32) 
 mod tests {
     use super::*;
     use crate::matrix::tests::same_bits_or_both_nan;
-    use crate::{Matrix, Rng, SeedableRng};
+    use crate::{Rng, SeedableRng};
     use proptest::prelude::*;
     use rand::Rng as _;
 
@@ -238,6 +317,33 @@ mod tests {
         assert_eq!(opt.steps(), 2);
     }
 
+    /// Moments stay empty while a parameter is at rest, are allocated at
+    /// its first step off rest, and stay once they hold nonzero values.
+    #[test]
+    fn moments_are_allocated_at_the_first_step_off_rest() {
+        let mut p = Param::new(Matrix::from_vec(1, 2, vec![1.0, -2.0]));
+        let mut opt = Adam::new(0.1);
+        assert!(p.m.data().is_empty() && p.v.data().is_empty());
+        p.g.set(0, 1, -0.0);
+        opt.update(&mut [&mut p], 1.0);
+        assert!(p.m.data().is_empty() && p.v.data().is_empty(), "at rest");
+        assert_eq!(p.g.get(0, 1).to_bits(), 0, "update consumes the -0.0");
+        p.g.set(0, 0, 0.5);
+        opt.update(&mut [&mut p], 1.0);
+        assert_eq!((p.m.shape(), p.v.shape()), ((1, 2), (1, 2)));
+        opt.update(&mut [&mut p], 1.0);
+        assert_eq!((p.m.shape(), p.v.shape()), ((1, 2), (1, 2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "Adam moment shape")]
+    fn a_moment_of_another_shape_panics() {
+        let mut p = Param::new(Matrix::zeros(2, 3));
+        p.m = Matrix::zeros(3, 2);
+        p.g.set(0, 0, 1.0);
+        Adam::new(0.1).update(&mut [&mut p], 1.0);
+    }
+
     /// The three passes [`Adam::update`] fuses, kept as its bit-identity
     /// oracle: clip the global norm, take an Adam step, zero the gradients.
     fn three_call_update(opt: &mut Adam, params: &mut [&mut Param], max_norm: f32) {
@@ -275,21 +381,49 @@ mod tests {
         }
     }
 
-    fn assert_params_bits_eq(body: &str, a: &[Param], b: &[Param]) {
-        assert_params_agree(body, a, b, |x, y| x.to_bits() == y.to_bits());
+    /// The values `p`'s moment stands for: `+0.0` in `w`'s shape when it
+    /// is empty, else itself, which must then have `w`'s shape.
+    fn moment_values(p: &Param, moment: &Matrix) -> Matrix {
+        let (r, c) = p.w.shape();
+        if moment.data().is_empty() {
+            return Matrix::zeros(r, c);
+        }
+        assert_eq!(moment.shape(), (r, c), "moment of another shape");
+        moment.clone()
     }
 
-    /// Asserts `same` of every element of `w`, `g`, `m` and `v`.
-    fn assert_params_agree(body: &str, a: &[Param], b: &[Param], same: fn(f32, f32) -> bool) {
-        for (i, (pa, pb)) in a.iter().zip(b).enumerate() {
+    /// `p` with both moments allocated, as [`three_call_update`] reads
+    /// them.
+    fn with_moments(p: &Param) -> Param {
+        Param {
+            m: moment_values(p, &p.m),
+            v: moment_values(p, &p.v),
+            ..p.clone()
+        }
+    }
+
+    /// Asserts `same` of every element of `w`, `g`, `m` and `v`, reading
+    /// the fused side's moments through [`moment_values`], and that every
+    /// pair of matrices has one shape, so nothing passes by zipping over
+    /// an empty side.
+    fn assert_params_agree(
+        label: &str,
+        fused: &[Param],
+        oracle: &[Param],
+        same: fn(f32, f32) -> bool,
+    ) {
+        assert_eq!(fused.len(), oracle.len());
+        for (i, (pf, po)) in fused.iter().zip(oracle).enumerate() {
+            let (m, v) = (moment_values(pf, &pf.m), moment_values(pf, &pf.v));
             for (name, x, y) in [
-                ("w", &pa.w, &pb.w),
-                ("g", &pa.g, &pb.g),
-                ("m", &pa.m, &pb.m),
-                ("v", &pa.v, &pb.v),
+                ("w", &pf.w, &po.w),
+                ("g", &pf.g, &po.g),
+                ("m", &m, &po.m),
+                ("v", &v, &po.v),
             ] {
+                assert_eq!(x.shape(), y.shape(), "{label} param {i} {name} shape");
                 for (k, (x, y)) in x.data().iter().zip(y.data()).enumerate() {
-                    assert!(same(*x, *y), "{body} param {i} {name}[{k}]: {x} vs {y}");
+                    assert!(same(*x, *y), "{label} param {i} {name}[{k}]: {x} vs {y}");
                 }
             }
         }
@@ -314,39 +448,124 @@ mod tests {
         bodies
     }
 
-    /// Parameters of assorted widths (SIMD blocks plus tails) with random
-    /// weights and moments, ready for one update.
-    fn random_params(rng: &mut Rng) -> Vec<Param> {
+    /// Adam's defaults, under which an element at rest stays as it is, and
+    /// five constant sets that break that fixed point. `eps = 0`, `β₂ = 1`
+    /// and a NaN `lr` turn the step into NaN, so the oracle writes NaN into
+    /// every resting weight and the fused pass must write NaN in the same
+    /// places. Two more break it for some elements only. `lr < 0` subtracts
+    /// `-0.0`, which turns a `-0.0` weight into `+0.0`. `β₁ < 0` turns one
+    /// sign of zero gradient into `m = -0.0`: `-0.0`, or `+0.0` when a
+    /// negative `max_norm` clips with a negative factor.
+    fn constant_sets() -> [(&'static str, Tweak); 6] {
         [
+            ("defaults", |_| {}),
+            ("eps = 0", |o| o.eps = 0.0),
+            ("beta2 = 1", |o| o.beta2 = 1.0),
+            ("NaN lr", |o| o.lr = f32::NAN),
+            ("lr < 0", |o| o.lr = -3e-3),
+            ("beta1 < 0", |o| o.beta1 = -0.5),
+        ]
+    }
+
+    /// Writes one step's gradients into the fused side's parameters.
+    type Grads = fn(&mut [Param], &mut Rng);
+
+    /// Checks the fused side's parameters after a step; the flag says
+    /// whether the constants keep an element at rest as it is.
+    type Check = fn(&str, bool, &[Param]);
+
+    /// Three updates of `start` on every body under every constant set,
+    /// each beside [`three_call_update`] on a copy with allocated moments.
+    /// The same seed draws the gradients for every run. After each step
+    /// the two sides agree to the bit (NaN where the oracle has NaN) and
+    /// `check` holds.
+    fn agree_with_oracle(start: &[Param], max_norm: f32, seed: u64, grads: Grads, check: Check) {
+        for (name, set) in constant_sets() {
+            for (body, run) in bodies() {
+                let label = format!("{body} ({name})");
+                let mut fused = start.to_vec();
+                let mut oracle: Vec<Param> = start.iter().map(with_moments).collect();
+                let mut fused_opt = Adam::new(3e-3);
+                let mut oracle_opt = Adam::new(3e-3);
+                set(&mut fused_opt);
+                set(&mut oracle_opt);
+                let mut grad_rng = Rng::seed_from_u64(seed ^ 0x9e37);
+                for _ in 0..3 {
+                    grads(&mut fused, &mut grad_rng);
+                    for (po, pf) in oracle.iter_mut().zip(&fused) {
+                        po.g = pf.g.clone();
+                    }
+                    let mut refs: Vec<&mut Param> = fused.iter_mut().collect();
+                    fused_opt.update_with(&mut refs, max_norm, run);
+                    let mut refs: Vec<&mut Param> = oracle.iter_mut().collect();
+                    three_call_update(&mut oracle_opt, &mut refs, max_norm);
+                    assert_params_agree(&label, &fused, &oracle, same_bits_or_both_nan);
+                    check(&label, name == "defaults", &fused);
+                }
+            }
+        }
+    }
+
+    /// Parameters of assorted widths (SIMD blocks plus tails) with random
+    /// weights: each shape once with random moments and once with none,
+    /// then one more with explicit `+0.0` moments.
+    fn random_params(rng: &mut Rng) -> Vec<Param> {
+        let shapes = [
             (1usize, 1usize),
             (1, 7),
             (3, 8),
             (10, 13),
             (16, 33),
             (40, 20),
-        ]
-        .iter()
-        .map(|&(r, c)| {
-            let mut p = Param::new(Matrix::xavier(r, c, rng));
-            p.m = Matrix::xavier(r, c, rng).scale(0.1);
-            p.v = Matrix::xavier(r, c, rng).map(|x| x * x);
-            p
-        })
-        .collect()
+        ];
+        let mut params = Vec::new();
+        for &(r, c) in &shapes {
+            let fresh = Param::new(Matrix::xavier(r, c, rng));
+            let mut moved = Param::new(Matrix::xavier(r, c, rng));
+            moved.m = Matrix::xavier(r, c, rng).scale(0.1);
+            moved.v = Matrix::xavier(r, c, rng).map(|x| x * x);
+            params.extend([moved, fresh]);
+        }
+        let explicit = with_moments(&Param::new(Matrix::xavier(5, 9, rng)));
+        params.push(explicit);
+        params
     }
 
-    /// Parameters at rest (every gradient `±0.0`, `m` and `v` all `+0.0`,
-    /// the last weight `-0.0`), each followed by a near miss that must not
-    /// skip. A near miss leaves rest at element 0 only: `m = -0.0`,
-    /// `v = -0.0`, a subnormal `m`, a subnormal `v`, and (last) a nonzero
-    /// gradient, which [`rest_grads`] plants.
+    /// Random gradients: per parameter, scattered signed zeros, all
+    /// `+0.0`, all `-0.0`, or 100-element zero runs, which cover whole
+    /// blocks of the norm pass in the larger parameters. Norms span
+    /// ~0.01..400 for the scales drawn, so about half the steps clip.
+    fn random_grads(params: &mut [Param], rng: &mut Rng) {
+        let scale = 10f32.powf(rng.gen_range(-3.0f32..1.5));
+        for p in params {
+            let layout = rng.gen_range(0..4);
+            for (k, g) in p.g.data_mut().iter_mut().enumerate() {
+                *g = match (layout, rng.gen_range(0..6)) {
+                    (1, _) => 0.0,
+                    (2, _) => -0.0,
+                    (3, _) if (k / 100) % 2 == 0 => [0.0, -0.0][k % 2],
+                    (_, 0) => 0.0,
+                    (_, 1) => -0.0,
+                    _ => rng.gen_range(-1.0f32..1.0) * scale,
+                };
+            }
+        }
+    }
+
+    /// Per shape, three parameters with the same weights (the last one
+    /// `-0.0`): at rest with no moments, at rest with explicit `+0.0`
+    /// moments, and a near miss with explicit moments that must not skip.
+    /// A near miss leaves rest at element 0 only: `m = -0.0`, `v = -0.0`, a
+    /// subnormal `m`, a subnormal `v`, and (last) a nonzero gradient, which
+    /// [`rest_grads`] plants.
     fn resting_params(rng: &mut Rng) -> Vec<Param> {
         let shapes = [(1usize, 1usize), (1, 7), (3, 8), (10, 13), (40, 20)];
         let mut params = Vec::new();
         for (miss, &(r, c)) in shapes.iter().enumerate() {
-            let mut rest = Param::new(Matrix::xavier(r, c, rng));
-            rest.w.data_mut()[r * c - 1] = -0.0;
-            let mut near = rest.clone();
+            let mut fresh = Param::new(Matrix::xavier(r, c, rng));
+            fresh.w.data_mut()[r * c - 1] = -0.0;
+            let explicit = with_moments(&fresh);
+            let mut near = explicit.clone();
             let subnormal = f32::from_bits(rng.gen_range(0x0010_0000..0x0080_0000));
             match miss {
                 0 => near.m.data_mut()[0] = -0.0,
@@ -355,7 +574,7 @@ mod tests {
                 3 => near.v.data_mut()[0] = subnormal,
                 _ => {}
             }
-            params.extend([rest, near]);
+            params.extend([fresh, explicit, near]);
         }
         params
     }
@@ -376,107 +595,50 @@ mod tests {
         }
     }
 
+    /// The parameters of [`resting_params`] that are at rest hold no
+    /// moments after a step that keeps them at rest, those that had
+    /// explicit ones included, and hold allocated ones after any other.
+    fn rested_without_moments(label: &str, rest_is_fixed: bool, params: &[Param]) {
+        for (i, p) in params.iter().enumerate().filter(|(i, _)| i % 3 != 2) {
+            for (name, moment) in [("m", &p.m), ("v", &p.v)] {
+                assert_eq!(
+                    moment.data().is_empty(),
+                    rest_is_fixed,
+                    "{label} resting param {i} {name} is {:?}",
+                    moment.shape()
+                );
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The fused update equals clip → step → zero (with the norm as a
         /// plain element-order sum) on every bit of `w`, `g`, `m` and `v`,
         /// over several consecutive steps, with and without clipping, with
-        /// gradients that are random, `+0.0`, `-0.0` or zero runs, on the
-        /// baseline body and (where the CPU has it) the AVX body.
+        /// gradients that are random, `+0.0`, `-0.0` or zero runs, and with
+        /// moments that are random, empty or explicit zeros.
         #[test]
         fn fused_update_matches_clip_step_zero_to_the_bit(
             seed in 0u64..1_000_000,
-            log_scale in -3.0f32..1.5,
             max_norm in 0.5f32..10.0,
         ) {
-            // Gradient norms span ~0.01..400, so about half the cases clip.
-            let scale = 10f32.powf(log_scale);
-            let mut rng = Rng::seed_from_u64(seed);
-            let start = random_params(&mut rng);
-            for (body, run) in bodies() {
-                let mut fused = start.clone();
-                let mut oracle = start.clone();
-                let mut fused_opt = Adam::new(3e-3);
-                let mut oracle_opt = Adam::new(3e-3);
-                let mut grad_rng = Rng::seed_from_u64(seed ^ 0x9e37);
-                for _ in 0..3 {
-                    for (pf, po) in fused.iter_mut().zip(oracle.iter_mut()) {
-                        // Per parameter: scattered signed zeros, all +0.0,
-                        // all -0.0, or zero runs long enough to skip whole
-                        // blocks of the norm pass.
-                        let layout = grad_rng.gen_range(0..4);
-                        for (k, (gf, go)) in pf.g.data_mut().iter_mut().zip(po.g.data_mut()).enumerate() {
-                            let g = match (layout, grad_rng.gen_range(0..6)) {
-                                (1, _) => 0.0,
-                                (2, _) => -0.0,
-                                (3, _) if (k / 20) % 2 == 0 => [0.0, -0.0][k % 2],
-                                (_, 0) => 0.0,
-                                (_, 1) => -0.0,
-                                _ => grad_rng.gen_range(-1.0f32..1.0) * scale,
-                            };
-                            *gf = g;
-                            *go = g;
-                        }
-                    }
-                    let mut refs: Vec<&mut Param> = fused.iter_mut().collect();
-                    fused_opt.update_with(&mut refs, max_norm, run);
-                    let mut refs: Vec<&mut Param> = oracle.iter_mut().collect();
-                    three_call_update(&mut oracle_opt, &mut refs, max_norm);
-                    assert_params_bits_eq(body, &fused, &oracle);
-                }
-            }
+            let start = random_params(&mut Rng::seed_from_u64(seed));
+            agree_with_oracle(&start, max_norm, seed, random_grads, |_, _, _| {});
         }
 
-        /// Skipping a parameter at rest changes no bit: on every body, over
-        /// three steps, the fused update equals clip → step → zero on
-        /// [`resting_params`], whose near misses must take the full pass.
-        /// Besides Adam's defaults, three constant sets break the fixed
-        /// point: `eps = 0`, `β₂ = 1` and a NaN `lr`. There the oracle
-        /// writes NaN into every resting weight, and the fused pass must
-        /// write NaN in the same places. Two more break it for some
-        /// elements only. `lr < 0` subtracts `-0.0`, which turns a `-0.0`
-        /// weight into `+0.0`. `β₁ < 0` turns one sign of zero gradient
-        /// into `m = -0.0`: `-0.0`, or `+0.0` when a negative `max_norm`
-        /// clips with a negative factor.
+        /// Skipping a parameter at rest changes no bit: the fused update
+        /// equals clip → step → zero on [`resting_params`], whose near
+        /// misses must take the full pass, and a skipped parameter is left
+        /// with no moments, even one that started with explicit zeros.
         #[test]
         fn resting_parameters_skip_without_changing_a_bit(
             seed in 0u64..1_000_000,
             max_norm in -2.0f32..2.0,
         ) {
-            let constants: [(&str, Tweak); 6] = [
-                ("defaults", |_| {}),
-                ("eps = 0", |o| o.eps = 0.0),
-                ("beta2 = 1", |o| o.beta2 = 1.0),
-                ("NaN lr", |o| o.lr = f32::NAN),
-                ("lr < 0", |o| o.lr = -3e-3),
-                ("beta1 < 0", |o| o.beta1 = -0.5),
-            ];
-            let mut rng = Rng::seed_from_u64(seed);
-            let start = resting_params(&mut rng);
-            for (name, set) in constants {
-                for (body, run) in bodies() {
-                    let mut fused = start.clone();
-                    let mut oracle = start.clone();
-                    let mut fused_opt = Adam::new(3e-3);
-                    let mut oracle_opt = Adam::new(3e-3);
-                    set(&mut fused_opt);
-                    set(&mut oracle_opt);
-                    let mut grad_rng = Rng::seed_from_u64(seed ^ 0x9e37);
-                    for _ in 0..3 {
-                        rest_grads(&mut fused, &mut grad_rng);
-                        for (po, pf) in oracle.iter_mut().zip(&fused) {
-                            po.g = pf.g.clone();
-                        }
-                        let mut refs: Vec<&mut Param> = fused.iter_mut().collect();
-                        fused_opt.update_with(&mut refs, max_norm, run);
-                        let mut refs: Vec<&mut Param> = oracle.iter_mut().collect();
-                        three_call_update(&mut oracle_opt, &mut refs, max_norm);
-                        let label = format!("{body} ({name})");
-                        assert_params_agree(&label, &fused, &oracle, same_bits_or_both_nan);
-                    }
-                }
-            }
+            let start = resting_params(&mut Rng::seed_from_u64(seed));
+            agree_with_oracle(&start, max_norm, seed, rest_grads, rested_without_moments);
         }
     }
 }

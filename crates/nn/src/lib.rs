@@ -54,49 +54,32 @@ pub struct Param {
     pub w: Matrix,
     /// Accumulated gradient (reset by [`Param::zero_grad`]).
     pub g: Matrix,
-    /// Adam first moment.
+    /// Adam first moment. Empty (0×0) stands for `+0.0` in every element
+    /// of `w`'s shape: only [`Adam::update`] allocates it, at the
+    /// parameter's first step that is not at rest, and it drops it again
+    /// when it finds the parameter at rest with moments all `+0.0`.
     pub m: Matrix,
-    /// Adam second moment.
+    /// Adam second moment; empty means `+0.0` and is allocated and
+    /// dropped the same way as `m`.
     pub v: Matrix,
 }
 
 impl Param {
-    /// Wraps a value matrix as a parameter with zeroed gradient/moments.
+    /// Wraps a value matrix as a parameter with a zeroed gradient and no
+    /// Adam moments yet (read as `+0.0`).
     pub fn new(w: Matrix) -> Self {
         let (r, c) = w.shape();
         Param {
             w,
             g: Matrix::zeros(r, c),
-            m: Matrix::zeros(r, c),
-            v: Matrix::zeros(r, c),
+            m: Matrix::default(),
+            v: Matrix::default(),
         }
     }
 
     /// Clears the accumulated gradient.
     pub fn zero_grad(&mut self) {
         self.g.fill(0.0);
-    }
-
-    /// Squared L2 norm of the accumulated gradient (for clipping): the
-    /// squares added one by one in element order, from `+0.0`.
-    ///
-    /// Blocks of gradient that are exactly `±0.0` are skipped whole. Their
-    /// squares are `+0.0`, and adding `+0.0` to a sum that started at
-    /// `+0.0` leaves it unchanged, so the skip returns the same bits as
-    /// the plain element-order sum. Such blocks are common: after a
-    /// one-step episode the recurrent weights' gradient is all zero, since
-    /// the state they multiply is the zero initial state.
-    pub fn grad_norm_sq(&self) -> f32 {
-        let mut sum = 0.0f32;
-        for block in self.g.data().chunks(16) {
-            // Shifting out the sign bit leaves 0 exactly for ±0.0.
-            if block.iter().fold(0, |any, v| any | (v.to_bits() << 1)) != 0 {
-                for v in block {
-                    sum += v * v;
-                }
-            }
-        }
-        sum
     }
 }
 

@@ -284,8 +284,9 @@ impl LstmCell {
     /// formed: each of its terms is `±0.0`, so the GEMM would write `+0.0`,
     /// which `dWh` already holds. A NaN or infinite `dgates` value takes
     /// the full GEMM and poisons `dWh` as the per-step loop does. The
-    /// forward's `h·Wh` and Adam's step of a parameter at rest are skipped
-    /// the same way (see [`crate::Matrix::matmul`]); `gemm_tn` itself
+    /// forward's `h·Wh` is skipped the same way, and Adam then finds `Wh`
+    /// at rest from its all-zero gradient, skips its step and keeps no
+    /// moments for it (see [`crate::Matrix::matmul`]); `gemm_tn` itself
     /// never skips a zero term.
     ///
     /// # Panics

@@ -49,7 +49,8 @@ pub(crate) fn avx_available() -> bool {
 // sites instead skip a whole product when an input property fixes its
 // result to the bit: the LSTM's `h·Wh` and `dWh` from an all-zero
 // recurrent state, and Adam's step of a parameter at rest. These scans
-// decide those properties.
+// decide those properties (Adam's norm pass reports a gradient's zeros
+// itself, so it scans only the moments here).
 
 /// Whether every element is `+0.0` or `-0.0`.
 pub(crate) fn all_zero(xs: &[f32]) -> bool {
@@ -594,8 +595,9 @@ impl Matrix {
     ///   entry value when every `h_prev` row is `±0.0` and every `dgates`
     ///   value is finite.
     /// - [`crate::Adam::update`] leaves a parameter whose gradient is `±0.0`
-    ///   and whose moments are `+0.0` untouched when the step's constants
-    ///   map such an element to itself.
+    ///   and whose moments are empty or `+0.0` untouched when the step's
+    ///   constants map such an element to itself, and keeps no moments for
+    ///   it (an empty moment reads as `+0.0`).
     ///
     /// A NaN or an infinity where a skip would drop it fails these guards,
     /// so it still takes the full path and poisons the result.

@@ -256,6 +256,62 @@ mod tests {
         );
     }
 
+    /// A snapshot that stores every moment, the resting `Wh`'s as explicit
+    /// `+0.0` (as version-1 checkpoints do), trains exactly as the agent it
+    /// was taken from, and the first update finds `Wh` at rest and drops
+    /// those zeros.
+    #[test]
+    fn snapshot_with_every_moment_stored_resumes_bit_identically() {
+        let mut rng = Rng::seed_from_u64(14);
+        let mut env = PatternEnv::new(1, vec![3, 3]);
+        let config = ReinforceConfig {
+            hidden: 16,
+            ..ReinforceConfig::default()
+        };
+        let mut agent = Reinforce::new(env.obs_dim(), env.action_dims(), config.clone(), &mut rng);
+        for _ in 0..20 {
+            agent.train_epoch(&mut env, &mut rng);
+        }
+        let mut restored = Reinforce::new(env.obs_dim(), env.action_dims(), config, &mut rng);
+        restored.load_state(&agent.save_state().unwrap()).unwrap();
+        let mut params = restored.policy.params_mut();
+        assert!(params[1].m.data().is_empty(), "Wh holds moments already");
+        for p in params.iter_mut() {
+            let (r, c) = p.w.shape();
+            for moment in [&mut p.m, &mut p.v] {
+                if moment.data().is_empty() {
+                    *moment = tinynn::Matrix::zeros(r, c);
+                }
+            }
+        }
+
+        let steps = restored.opt.steps();
+        let mut rng_a = Rng::seed_from_u64(5);
+        let mut rng_b = Rng::seed_from_u64(5);
+        let mut env_b = PatternEnv::new(1, vec![3, 3]);
+        for _ in 0..10 {
+            let a = agent.train_epoch(&mut env, &mut rng_a);
+            let b = restored.train_epoch(&mut env_b, &mut rng_b);
+            assert_eq!(a, b);
+            if restored.opt.steps() > steps {
+                let wh = &restored.policy.params_mut()[1];
+                assert!(
+                    wh.m.data().is_empty() && wh.v.data().is_empty(),
+                    "Wh kept its zeros"
+                );
+            }
+        }
+        assert!(restored.opt.steps() > steps, "no update ran");
+        let bits = |p: &mut PolicyNet| -> Vec<Vec<u32>> {
+            p.params_mut()
+                .iter()
+                .flat_map(|p| [&p.w, &p.m, &p.v])
+                .map(|m| m.data().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&mut agent.policy), bits(&mut restored.policy));
+    }
+
     #[test]
     fn load_state_rejects_mismatched_architecture() {
         let mut rng = Rng::seed_from_u64(12);
@@ -286,8 +342,9 @@ mod tests {
     /// With one-step episodes every decision starts from the zero state,
     /// so the recurrent weights `Wh` get an all-zero gradient and Adam's
     /// step leaves them alone: after 50 updates `Wh` still holds its
-    /// initial bits and its moments are all `+0.0`. The LSTM's zero-state
-    /// skips rely on this; a change to the initial state fails here.
+    /// initial bits and no Adam moments, while `Wx`'s moments were
+    /// allocated. The LSTM's zero-state skips rely on this; a change to the
+    /// initial state fails here.
     #[test]
     fn one_step_episodes_leave_the_recurrent_weights_at_rest() {
         let mut rng = Rng::seed_from_u64(13);
@@ -310,12 +367,10 @@ mod tests {
         let (initial, trained) = (initial.params_mut(), trained.params_mut());
         let bits = |m: &tinynn::Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&trained[1].w), bits(&initial[1].w), "Wh moved");
-        for moment in [&trained[1].m, &trained[1].v] {
-            assert!(
-                moment.data().iter().all(|v| v.to_bits() == 0),
-                "Wh moment left +0.0"
-            );
-        }
+        assert_eq!(trained[1].m.data().len(), 0, "Wh holds an m");
+        assert_eq!(trained[1].v.data().len(), 0, "Wh holds a v");
+        let wx = trained[0].w.shape();
+        assert_eq!((trained[0].m.shape(), trained[0].v.shape()), (wx, wx));
         assert_ne!(bits(&trained[0].w), bits(&initial[0].w), "Wx never moved");
     }
 
