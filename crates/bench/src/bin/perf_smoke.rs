@@ -91,7 +91,11 @@ const UPDATE_EPISODES: usize = 40;
 /// runs on the 2-vCPU dev VM gave medians of 1.20–1.49x (single pairs
 /// 0.68–1.93x) with libm `tanh`; with the port, three runs gave
 /// 1.40–1.49x against 1.14–1.17x for libm `tanh` runs interleaved with
-/// them. The floor sits below the medians' whole spread.
+/// them. Since `gemm_nn` keeps a lone row's outputs in registers and runs
+/// 4×16 tiles and padded tails, which speed up both sides, fifteen runs
+/// gave medians of 1.52–1.73x (single pairs 1.08–2.42x) against
+/// 1.34–1.68x for runs of the previous kernels interleaved with them. The
+/// floor sits below the medians' whole spread.
 const POLICY_MIN_SPEEDUP: f64 = 1.10;
 /// Interleaved serial/batch repetitions behind `policy_batch_speedup`.
 const POLICY_PAIRS: usize = 15;

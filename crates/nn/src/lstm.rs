@@ -1,4 +1,4 @@
-use crate::matrix::{all_finite, all_zero, gemm_tn, matvec_nt};
+use crate::matrix::{all_finite, all_zero, gemm_nn};
 use crate::{MatRef, Matrix, Param, Rng};
 
 fn sigmoid(v: f32) -> f32 {
@@ -269,10 +269,14 @@ impl LstmCell {
     /// The recurrence walks `t` downward and computes only what it must
     /// per step: the step's `dgates` row, the carried `dc`, and the carried
     /// `dh = dgates·Whᵀ`, skipped for the earliest step since nothing reads
-    /// it. No input gradient `dx` is formed. `dWx`, `dWh` and `db` are then
-    /// one stacked tn-GEMM per weight and one column sum over the `dgates`
-    /// rows in descending-t order, which is the order a per-step loop adds
-    /// them in.
+    /// it. No input gradient `dx` is formed. The carried `dh` is a 1-row
+    /// GEMM against `Whᵀ`, which is written once per call, when `T > 1`,
+    /// into `Wh`'s gradient: that has `Wh`'s element count, is `+0.0` on
+    /// entry, and nothing reads it before `dWh` overwrites it (a skipped
+    /// `dWh` zeroes it instead). The inputs and `h_prev` rows are stacked
+    /// as columns in descending-t order, so `dWx` and `dWh` are one GEMM
+    /// each over the `dgates` rows stacked the same way, and `db` one
+    /// column sum over them: the order a per-step loop adds them in.
     ///
     /// The parameter gradients must be `+0.0` on entry (as
     /// [`LstmCell::zero_grad`] leaves them): the sums are written into them
@@ -282,11 +286,11 @@ impl LstmCell {
     /// When every `h_prev` row is `±0.0` (a one-step episode from the zero
     /// initial state) and every `dgates` value is finite, `dWh` is not
     /// formed: each of its terms is `±0.0`, so the GEMM would write `+0.0`,
-    /// which `dWh` already holds. A NaN or infinite `dgates` value takes
-    /// the full GEMM and poisons `dWh` as the per-step loop does. The
+    /// and that is what `dWh` is left at. A NaN or infinite `dgates` value
+    /// takes the full GEMM and poisons `dWh` as the per-step loop does. The
     /// forward's `h·Wh` is skipped the same way, and Adam then finds `Wh`
     /// at rest from its all-zero gradient, skips its step and keeps no
-    /// moments for it (see [`crate::Matrix::matmul`]); `gemm_tn` itself
+    /// moments for it (see [`crate::Matrix::matmul`]); the GEMM itself
     /// never skips a zero term.
     ///
     /// # Panics
@@ -298,22 +302,34 @@ impl LstmCell {
         let h = self.hidden;
         let input = self.input_dim();
         assert_eq!((dh.rows(), dh.cols()), (t_len, h), "dh must be T×H");
+        // Checked before `Whᵀ` lands in `Wh.g`, so a panic leaves the
+        // gradients zeroed.
+        for &(x, cache) in steps {
+            assert_eq!(x.len(), input, "input width mismatch");
+            assert_eq!(cache.i.rows(), 1, "backward_sequence takes 1-row steps");
+        }
         let zeroed = |p: &Param| p.g.data().iter().all(|v| v.to_bits() == 0);
         debug_assert!(
             zeroed(&self.wx) && zeroed(&self.wh) && zeroed(&self.b),
             "backward_sequence needs zeroed gradients"
         );
-        // Row `s` of each stack holds step `t_len - 1 - s`.
-        let mut xs = Matrix::zeros(t_len, input);
-        let mut h_prev = Matrix::zeros(t_len, h);
+        if t_len > 1 {
+            self.wh.w.transpose_into(self.wh.g.data_mut());
+        }
+        // Column `s` of each stack and row `s` of `dgates` hold step
+        // `t_len - 1 - s`.
+        let mut xs = vec![0.0f32; input * t_len];
+        let mut h_prev = vec![0.0f32; h * t_len];
         let mut dgates = Matrix::zeros(t_len, 4 * h);
         let mut dh_carry = vec![0.0f32; h];
         let mut dc_carry = vec![0.0f32; h];
         for (s, (t, &(x, cache))) in steps.iter().enumerate().rev().enumerate() {
-            assert_eq!(x.len(), input, "input width mismatch");
-            assert_eq!(cache.i.rows(), 1, "backward_sequence takes 1-row steps");
-            xs.row_mut(s).copy_from_slice(x);
-            h_prev.row_mut(s).copy_from_slice(cache.h_prev.row(0));
+            for (i, &v) in x.iter().enumerate() {
+                xs[i * t_len + s] = v;
+            }
+            for (j, &v) in cache.h_prev.row(0).iter().enumerate() {
+                h_prev[j * t_len + s] = v;
+            }
             let up = &dh.data()[t * h..(t + 1) * h];
             let (d_i, rest) = dgates.row_mut(s).split_at_mut(h);
             let (d_f, rest) = rest.split_at_mut(h);
@@ -336,26 +352,29 @@ impl LstmCell {
                 dc_carry[j] = dc_t * fv;
             }
             if t > 0 {
-                matvec_nt(dgates.row(s), self.wh.w.data(), h, &mut dh_carry);
+                gemm_nn(dgates.row(s), 1, 4 * h, self.wh.g.data(), h, &mut dh_carry);
             }
         }
-        gemm_tn(
-            xs.data(),
-            t_len,
+        gemm_nn(
+            &xs,
             input,
+            t_len,
             dgates.data(),
             4 * h,
             self.wx.g.data_mut(),
         );
-        if !(all_zero(h_prev.data()) && all_finite(dgates.data())) {
-            gemm_tn(
-                h_prev.data(),
-                t_len,
+        if !(all_zero(&h_prev) && all_finite(dgates.data())) {
+            gemm_nn(
+                &h_prev,
                 h,
+                t_len,
                 dgates.data(),
                 4 * h,
                 self.wh.g.data_mut(),
             );
+        } else if t_len > 1 {
+            // `Whᵀ` is spent, and the skipped `dWh` is `+0.0`.
+            self.wh.g.fill(0.0);
         }
         let db = self.b.g.data_mut();
         for row in dgates.data().chunks_exact(4 * h) {
@@ -748,15 +767,16 @@ mod tests {
         /// The whole-sequence BPTT equals the per-step loop it replaced on
         /// every gradient bit, for T ∈ {1, 2, 52}, random caches with
         /// planted signed zeros, and upstream rows that are random, all
-        /// `+0.0`, all `-0.0`, or mixed.
+        /// `+0.0`, all `-0.0`, or mixed. At H = 80 the carried `dh`, 80
+        /// wide, runs a 64-column block and a tail.
         #[test]
         fn backward_sequence_matches_per_step_loop_to_the_bit(
             seed in 0u64..1_000_000,
             t_pick in 0usize..3,
-            h_pick in 0usize..3,
+            h_pick in 0usize..4,
         ) {
             let t_len = [1usize, 2, 52][t_pick];
-            let h = [3usize, 8, 128][h_pick];
+            let h = [3usize, 8, 80, 128][h_pick];
             let input = 10;
             let mut rng = Rng::seed_from_u64(seed);
             let cell = LstmCell::new(input, h, &mut rng);

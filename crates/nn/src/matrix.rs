@@ -12,8 +12,13 @@ pub struct Matrix {
 
 /// Register tile height shared by the GEMM kernels below.
 const MR: usize = 4;
-/// Register tile width shared by the GEMM kernels below.
+/// Register tile width shared by the GEMM kernels below; [`gemm_nn_impl`]
+/// also runs tiles twice as wide.
 const NR: usize = 8;
+/// Columns of `b` that [`gemm_nn_impl`] takes at a time: a row outside a
+/// full row panel keeps this many outputs in registers, and row panels
+/// share one packed stretch of `b` this wide.
+const NC: usize = 64;
 
 // --- SIMD multiversioning -------------------------------------------------
 //
@@ -101,167 +106,184 @@ macro_rules! multiversioned {
 
 multiversioned! {
     gemm_nn => gemm_nn_avx / gemm_nn_impl;
-    gemm_tn => gemm_tn_avx / gemm_tn_impl;
     gemm_nt => gemm_nt_avx / gemm_nt_impl;
 }
 
-/// `out = a · b` where `a` is `ar×ac`, `b` is `ac×bc`, all row-major and
-/// `out` pre-zeroed. Register-tiled over `MR×NR` blocks. When two or more
-/// row panels share a `b` column block, the block is packed contiguous
-/// once, so batched rows stream the `b` weights through cache once per
-/// block instead of once per row and the inner loop reads dense 32-byte
-/// lines instead of strided ones; a single panel reads each block once,
-/// so it reads the block in place and skips the copy.
-/// Every output element still accumulates its `k` terms in ascending
-/// order with a separate mul and add (rustc does not contract to FMA), so
+/// `out = a · b` where `a` is `ar×ac`, `b` is `ac×bc`, all row-major;
+/// every element of `out` is overwritten.
+/// - Every full `MR`-row panel runs register tiles across `b`: `MR×2NR`
+///   while 16 columns remain, then one `MR×NR`, then one `MR×NR` over the
+///   column tail padded with `+0.0`. When two or more panels read `b`, it
+///   is packed into dense column blocks `NC` columns at a time and every
+///   panel runs over each stretch, so batched rows stream `b` through
+///   cache once per stretch; a single panel reads each whole block once,
+///   in place.
+/// - Each row outside a full panel (the 1-row serial case included) keeps
+///   `NC` outputs in registers while `k` runs, and leaves only the column
+///   tail to an axpy loop.
+///
+/// Every output element accumulates its `k` terms in ascending order from
+/// `+0.0` with a separate mul and add (rustc does not contract to FMA), so
 /// the result is bit-identical to the naive triple loop no matter how many
 /// rows are batched — the invariant the batched-vs-serial `to_bits` tests
-/// lock in. There is deliberately no zero-skip: `0.0 * NaN` and `0.0 * inf`
-/// propagate as NaN in every GEMM variant (see `Matrix::matmul`).
+/// lock in. There is deliberately no zero-skip: `0.0 * NaN` and
+/// `0.0 * inf` propagate as NaN in every GEMM variant (see
+/// `Matrix::matmul`).
 #[inline(always)]
 fn gemm_nn_impl(a: &[f32], ar: usize, ac: usize, b: &[f32], bc: usize, out: &mut [f32]) {
     let panels = ar / MR * MR;
     if panels > 0 {
-        let nr_wide =
-            |row: &[f32]| -> [f32; NR] { row.try_into().expect("block rows are NR wide") };
-        let mut bpack = vec![0.0f32; if panels > MR { ac * NR } else { 0 }];
-        let mut j0 = 0;
-        while j0 + NR <= bc {
-            if panels > MR {
-                // Pack the `ac×NR` column block of `b` once; every row panel
-                // below then reads it as dense rows.
-                for k in 0..ac {
-                    bpack[k * NR..(k + 1) * NR].copy_from_slice(&b[k * bc + j0..k * bc + j0 + NR]);
-                }
-                for i0 in (0..panels).step_by(MR) {
-                    gemm_nn_tile(a, ac, i0, bpack.chunks_exact(NR).map(nr_wide), out, bc, j0);
-                }
-            } else {
-                // A single panel reads each block once: read it in place.
-                let block = b.chunks_exact(bc).map(|row| nr_wide(&row[j0..j0 + NR]));
-                gemm_nn_tile(a, ac, 0, block, out, bc, j0);
-            }
-            j0 += NR;
-        }
-        if j0 < bc {
-            // Column tail of the full row panels: axpy order, same
-            // ascending-k sums per element.
-            for i0 in (0..panels).step_by(MR) {
-                for k in 0..ac {
-                    let brow = &b[k * bc + j0..k * bc + bc];
-                    for r in 0..MR {
-                        let av = a[(i0 + r) * ac + k];
-                        let orow = &mut out[(i0 + r) * bc + j0..(i0 + r) * bc + bc];
-                        for (o, bv) in orow.iter_mut().zip(brow) {
-                            *o += av * bv;
-                        }
-                    }
-                }
-            }
-        }
+        let j0 = gemm_nn_panels::<{ 2 * NR }>(a, ac, panels, b, bc, 0, out);
+        let j0 = gemm_nn_panels::<NR>(a, ac, panels, b, bc, j0, out);
+        gemm_nn_panel_tail(a, ac, panels, b, bc, j0, out);
     }
-    // Leftover rows (< MR), including the 1-row serial case: the classic
-    // row-at-a-time axpy loop.
+    let row_cols = bc / NC * NC;
     for i in panels..ar {
-        for k in 0..ac {
-            let av = a[i * ac + k];
-            let brow = &b[k * bc..(k + 1) * bc];
-            let orow = &mut out[i * bc..(i + 1) * bc];
-            for (o, bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
+        let arow = &a[i * ac..(i + 1) * ac];
+        for j0 in (0..row_cols).step_by(NC) {
+            let mut acc = [0.0f32; NC];
+            for (k, &av) in arow.iter().enumerate() {
+                let brow: &[f32; NC] = b[k * bc + j0..][..NC]
+                    .try_into()
+                    .expect("row blocks are NC wide");
+                for j in 0..NC {
+                    acc[j] += av * brow[j];
+                }
+            }
+            out[i * bc + j0..i * bc + j0 + NC].copy_from_slice(&acc);
+        }
+        if row_cols < bc {
+            // The column tail in axpy order: the same ascending-k sums
+            // from `+0.0`, accumulated in memory.
+            let tail = &mut out[i * bc + row_cols..(i + 1) * bc];
+            tail.fill(0.0);
+            for (k, &av) in arow.iter().enumerate() {
+                for (o, bv) in tail.iter_mut().zip(&b[k * bc + row_cols..(k + 1) * bc]) {
+                    *o += av * bv;
+                }
             }
         }
     }
 }
 
-/// One `MR×NR` tile of [`gemm_nn_impl`]: rows `i0..i0 + MR` of `a` times
-/// the column block of `b` at `j0`, whose rows `block` yields in
-/// ascending `k`, written to `out`.
+/// The `MR×W` tiles of [`gemm_nn_impl`]'s first `panels` rows over every
+/// whole `W`-column block of `b` from column `j0`. Returns the first column
+/// they leave. Each panel runs all of a packed stretch's tiles before the
+/// next panel starts, so it writes its rows `NC` columns at a time.
 #[inline(always)]
-fn gemm_nn_tile(
+fn gemm_nn_panels<const W: usize>(
+    a: &[f32],
+    ac: usize,
+    panels: usize,
+    b: &[f32],
+    bc: usize,
+    j0: usize,
+    out: &mut [f32],
+) -> usize {
+    let wide = |row: &[f32]| -> [f32; W] { row.try_into().expect("block rows are W wide") };
+    let end = j0 + (bc - j0) / W * W;
+    if panels > MR {
+        let mut bpack = vec![0.0f32; ac * NC.min(end - j0)];
+        for c0 in (j0..end).step_by(NC) {
+            let blocks = NC.min(end - c0) / W;
+            // Pack each `ac×W` column block of the stretch contiguous once;
+            // every row panel below then reads them as dense rows.
+            for n in 0..blocks {
+                let jb = c0 + n * W;
+                for (k, row) in bpack[n * ac * W..(n + 1) * ac * W]
+                    .chunks_exact_mut(W)
+                    .enumerate()
+                {
+                    row.copy_from_slice(&b[k * bc + jb..k * bc + jb + W]);
+                }
+            }
+            for i0 in (0..panels).step_by(MR) {
+                for n in 0..blocks {
+                    let block = bpack[n * ac * W..(n + 1) * ac * W]
+                        .chunks_exact(W)
+                        .map(wide);
+                    let jb = c0 + n * W;
+                    gemm_nn_tile(a, ac, i0, block, out, bc, jb..jb + W);
+                }
+            }
+        }
+    } else {
+        // A single panel reads each block once: read it in place.
+        for jb in (j0..end).step_by(W) {
+            let block = b.chunks_exact(bc).map(|row| wide(&row[jb..jb + W]));
+            gemm_nn_tile(a, ac, 0, block, out, bc, jb..jb + W);
+        }
+    }
+    end
+}
+
+/// The column tail, the fewer than `NR` columns of `b` from `j0`, of
+/// [`gemm_nn_impl`]'s first `panels` rows: packed with `+0.0` padding to
+/// `NR` wide, so each panel runs one `MR×NR` tile and stores only the
+/// tail's columns.
+#[inline(always)]
+fn gemm_nn_panel_tail(
+    a: &[f32],
+    ac: usize,
+    panels: usize,
+    b: &[f32],
+    bc: usize,
+    j0: usize,
+    out: &mut [f32],
+) {
+    if j0 == bc {
+        return;
+    }
+    let mut bpack = vec![0.0f32; ac * NR];
+    for (k, row) in bpack.chunks_exact_mut(NR).enumerate() {
+        row[..bc - j0].copy_from_slice(&b[k * bc + j0..(k + 1) * bc]);
+    }
+    let wide = |row: &[f32]| -> [f32; NR] { row.try_into().expect("block rows are NR wide") };
+    for i0 in (0..panels).step_by(MR) {
+        let block = bpack.chunks_exact(NR).map(wide);
+        gemm_nn_tile(a, ac, i0, block, out, bc, j0..bc);
+    }
+}
+
+/// One `MR×W` tile of [`gemm_nn_impl`]: rows `i0..i0 + MR` of `a` times
+/// a `W`-wide column block of `b`, whose rows `block` yields in ascending
+/// `k`. Its first `cols.len()` columns are written to `out`'s `cols`.
+#[inline(always)]
+fn gemm_nn_tile<const W: usize>(
     a: &[f32],
     ac: usize,
     i0: usize,
-    block: impl Iterator<Item = [f32; NR]>,
+    block: impl Iterator<Item = [f32; W]>,
     out: &mut [f32],
     bc: usize,
-    j0: usize,
+    cols: std::ops::Range<usize>,
 ) {
     let a0 = &a[i0 * ac..(i0 + 1) * ac];
     let a1 = &a[(i0 + 1) * ac..(i0 + 2) * ac];
     let a2 = &a[(i0 + 2) * ac..(i0 + 3) * ac];
     let a3 = &a[(i0 + 3) * ac..(i0 + 4) * ac];
-    let mut acc0 = [0.0f32; NR];
-    let mut acc1 = [0.0f32; NR];
-    let mut acc2 = [0.0f32; NR];
-    let mut acc3 = [0.0f32; NR];
+    let mut acc0 = [0.0f32; W];
+    let mut acc1 = [0.0f32; W];
+    let mut acc2 = [0.0f32; W];
+    let mut acc3 = [0.0f32; W];
     for (k, brow) in block.enumerate() {
         let (v0, v1, v2, v3) = (a0[k], a1[k], a2[k], a3[k]);
-        for j in 0..NR {
+        for j in 0..W {
             acc0[j] += v0 * brow[j];
             acc1[j] += v1 * brow[j];
             acc2[j] += v2 * brow[j];
             acc3[j] += v3 * brow[j];
         }
     }
-    out[i0 * bc + j0..i0 * bc + j0 + NR].copy_from_slice(&acc0);
-    out[(i0 + 1) * bc + j0..(i0 + 1) * bc + j0 + NR].copy_from_slice(&acc1);
-    out[(i0 + 2) * bc + j0..(i0 + 2) * bc + j0 + NR].copy_from_slice(&acc2);
-    out[(i0 + 3) * bc + j0..(i0 + 3) * bc + j0 + NR].copy_from_slice(&acc3);
-}
-
-/// `out = aᵀ · b` where `a` is `ar×ac`, `b` is `ar×bc`, `out` is `ac×bc`
-/// pre-zeroed. Same tiling and same ascending-r per-element accumulation
-/// contract as [`gemm_nn_impl`].
-#[inline(always)]
-fn gemm_tn_impl(a: &[f32], ar: usize, ac: usize, b: &[f32], bc: usize, out: &mut [f32]) {
-    let mut i0 = 0;
-    while i0 + MR <= ac {
-        let mut j0 = 0;
-        while j0 + NR <= bc {
-            let mut acc = [[0.0f32; NR]; MR];
-            for r in 0..ar {
-                let arow = &a[r * ac + i0..r * ac + i0 + MR];
-                let brow = &b[r * bc + j0..r * bc + j0 + NR];
-                for (av, accr) in arow.iter().zip(acc.iter_mut()) {
-                    for (slot, bv) in accr.iter_mut().zip(brow) {
-                        *slot += av * bv;
-                    }
-                }
-            }
-            for (ri, accr) in acc.iter().enumerate() {
-                out[(i0 + ri) * bc + j0..(i0 + ri) * bc + j0 + NR].copy_from_slice(accr);
-            }
-            j0 += NR;
-        }
-        if j0 < bc {
-            for r in 0..ar {
-                let brow = &b[r * bc + j0..r * bc + bc];
-                for ri in 0..MR {
-                    let av = a[r * ac + i0 + ri];
-                    let orow = &mut out[(i0 + ri) * bc + j0..(i0 + ri) * bc + bc];
-                    for (o, bv) in orow.iter_mut().zip(brow) {
-                        *o += av * bv;
-                    }
-                }
-            }
-        }
-        i0 += MR;
-    }
-    for i in i0..ac {
-        for r in 0..ar {
-            let av = a[r * ac + i];
-            let brow = &b[r * bc..(r + 1) * bc];
-            let orow = &mut out[i * bc..(i + 1) * bc];
-            for (o, bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
+    let w = cols.len();
+    for (r, acc) in [acc0, acc1, acc2, acc3].iter().enumerate() {
+        let row = (i0 + r) * bc;
+        out[row + cols.start..row + cols.end].copy_from_slice(&acc[..w]);
     }
 }
 
 /// `out = a · bᵀ` where `a` is `ar×ac`, `b` is `br×ac`, `out` is `ar×br`
-/// pre-zeroed. Same tiling and same ascending-k per-element accumulation
+/// and overwritten. Same tiling and same ascending-k per-element accumulation
 /// contract as [`gemm_nn_impl`]. The row and column tails fold from `+0.0`
 /// like the tiles do (`Iterator::sum` would start at `-0.0`), so a row's
 /// zero signs do not depend on whether it lands in a panel or a tail.
@@ -311,86 +333,6 @@ fn gemm_nt_impl(a: &[f32], ar: usize, ac: usize, b: &[f32], br: usize, out: &mut
 #[inline(always)]
 fn dot_from_zero(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).fold(0.0, |s, (x, y)| s + x * y)
-}
-
-/// `out = x · bᵀ` for one row `x` of length `ac` against `b` (`br×ac`),
-/// overwriting `out[..br]`. Each `out[j]` is the 1-row [`gemm_nt`] value
-/// to the bit: its `k` terms added in ascending order from `+0.0`.
-///
-/// With AVX, eight consecutive outputs advance in lockstep, one per lane:
-/// 8×4 blocks of `b` are transposed in registers so lane `c` receives
-/// `b[j0+c][k]` for one `k` at a time. Lanes only decide *where* a sum
-/// runs, never its order, so the two paths agree bit for bit without a
-/// transposed copy of `b`.
-pub(crate) fn matvec_nt(x: &[f32], b: &[f32], br: usize, out: &mut [f32]) {
-    assert!(
-        b.len() >= br * x.len() && out.len() >= br,
-        "matvec_nt shapes"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if avx_available() {
-        // SAFETY: AVX support was verified at runtime above.
-        return unsafe { matvec_nt_avx(x, b, br, out) };
-    }
-    gemm_nt_impl(x, 1, x.len(), b, br, out)
-}
-
-/// The AVX body of [`matvec_nt`]; every load is from a checked slice.
-///
-/// # Safety
-///
-/// The CPU must support AVX.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn matvec_nt_avx(x: &[f32], b: &[f32], br: usize, out: &mut [f32]) {
-    use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_castps128_ps256, _mm256_insertf128_ps, _mm256_loadu_ps,
-        _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps,
-        _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_loadu_ps,
-    };
-    let ac = x.len();
-    let full_k = ac / 4 * 4;
-    let mut j0 = 0;
-    while j0 + 8 <= br {
-        let rows = &b[j0 * ac..(j0 + 8) * ac];
-        let mut acc = _mm256_setzero_ps();
-        for k0 in (0..full_k).step_by(4) {
-            // `r[c]` holds b[j0+c][k0..k0+4] in its low half and
-            // b[j0+c+4][k0..k0+4] in its high half; a 4×4 transpose inside
-            // each half then leaves column k0+kk of all eight rows in
-            // `col[kk]`, lane c = row j0+c.
-            // SAFETY: `rows` is 8 rows of `ac` floats and k0 + 4 <= ac, so
-            // every 4-float load below stays inside it.
-            let r: [__m256; 4] = std::array::from_fn(|c| {
-                let lo = _mm_loadu_ps(rows.as_ptr().add(c * ac + k0));
-                let hi = _mm_loadu_ps(rows.as_ptr().add((c + 4) * ac + k0));
-                _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi)
-            });
-            let t0 = _mm256_unpacklo_ps(r[0], r[1]);
-            let t1 = _mm256_unpackhi_ps(r[0], r[1]);
-            let t2 = _mm256_unpacklo_ps(r[2], r[3]);
-            let t3 = _mm256_unpackhi_ps(r[2], r[3]);
-            let col = [
-                _mm256_shuffle_ps::<0x44>(t0, t2),
-                _mm256_shuffle_ps::<0xEE>(t0, t2),
-                _mm256_shuffle_ps::<0x44>(t1, t3),
-                _mm256_shuffle_ps::<0xEE>(t1, t3),
-            ];
-            for (&xv, c) in x[k0..k0 + 4].iter().zip(col) {
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(xv), c));
-            }
-        }
-        for (k, &xv) in x.iter().enumerate().skip(full_k) {
-            let c: [f32; 8] = std::array::from_fn(|c| rows[c * ac + k]);
-            acc = _mm256_add_ps(
-                acc,
-                _mm256_mul_ps(_mm256_set1_ps(xv), _mm256_loadu_ps(c.as_ptr())),
-            );
-        }
-        _mm256_storeu_ps(out[j0..j0 + 8].as_mut_ptr(), acc);
-        j0 += 8;
-    }
-    gemm_nt_impl(x, 1, ac, &b[j0 * ac..br * ac], br - j0, &mut out[j0..br]);
 }
 
 /// A borrowed row-major matrix view over caller-owned storage. The GEMM
@@ -577,7 +519,10 @@ impl Matrix {
         MatRef::new(&self.data, self.rows, self.cols)
     }
 
-    /// `self · other` (m×k by k×n).
+    /// `self · other` (m×k by k×n), on the register-tiled `gemm_nn`
+    /// kernel that [`Matrix::matmul_tn`] and the LSTM's forward and BPTT
+    /// also run. Each output element sums its `k` terms in ascending order
+    /// from `+0.0`, bit-identical to the naive triple loop.
     ///
     /// Non-finite contract: there is no zero-skip anywhere in the GEMM
     /// family — `0.0 * NaN` and `0.0 * inf` contribute NaN, so a poisoned
@@ -614,20 +559,13 @@ impl Matrix {
         self.view().matmul_into(other, out);
     }
 
-    /// `selfᵀ · other` without materializing the transpose. Same non-finite
-    /// contract as [`Matrix::matmul`].
+    /// `selfᵀ · other`: a transposed copy of `self` times `other` on the
+    /// `gemm_nn` kernel, which sums each output element's terms in
+    /// ascending row order from `+0.0`, as the naive loop over `self`'s
+    /// rows does. Same non-finite contract as [`Matrix::matmul`].
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "matmul_tn outer dims");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        gemm_tn(
-            &self.data,
-            self.rows,
-            self.cols,
-            &other.data,
-            other.cols,
-            &mut out.data,
-        );
-        out
+        self.transpose().matmul(other)
     }
 
     /// `self · otherᵀ` without materializing the transpose. Same non-finite
@@ -649,12 +587,35 @@ impl Matrix {
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j * self.rows + i] = self.data[i * self.cols + j];
+        self.transpose_into(&mut out.data);
+        out
+    }
+
+    /// Writes the transpose, `cols × rows` row-major, into `out`. Rows are
+    /// read in bands of eight, so each column of a band lands in `out` as
+    /// one contiguous 8-element write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold exactly as many elements as `self`.
+    pub(crate) fn transpose_into(&self, out: &mut [f32]) {
+        const BAND: usize = 8;
+        let (rows, cols) = (self.rows, self.cols);
+        assert_eq!(out.len(), rows * cols, "transpose shape");
+        let band_rows = rows / BAND * BAND;
+        let bands = self.data[..band_rows * cols].chunks_exact(BAND * cols);
+        for (i0, band) in (0..).step_by(BAND).zip(bands) {
+            let band: [&[f32]; BAND] = std::array::from_fn(|r| &band[r * cols..(r + 1) * cols]);
+            for j in 0..cols {
+                let column: [f32; BAND] = std::array::from_fn(|r| band[r][j]);
+                out[j * rows + i0..][..BAND].copy_from_slice(&column);
             }
         }
-        out
+        for i in band_rows..rows {
+            for j in 0..cols {
+                out[j * rows + i] = self.data[i * cols + j];
+            }
+        }
     }
 
     /// Elementwise sum. Shapes must match.
@@ -907,8 +868,11 @@ pub(crate) mod tests {
         let mut rng = crate::Rng::seed_from_u64(7);
         // Shapes chosen to exercise full tiles, column tails, and row tails,
         // plus the policy's gate GEMMs: one row panel reads `b` in place,
-        // two or more pack it.
-        for &(m, k, n) in &[
+        // two or more pack it. Rows outside a panel run a 64-column block,
+        // a block and a tail, or the tail alone; panels run the 16-wide
+        // tile, the 8-wide one and the tail in place (4 rows) and packed
+        // (8 rows).
+        let mut shapes = vec![
             (1usize, 5usize, 3usize),
             (4, 8, 8),
             (5, 8, 9),
@@ -918,7 +882,14 @@ pub(crate) mod tests {
             (4, 10, 512),
             (4, 128, 512),
             (8, 128, 512),
-        ] {
+        ];
+        for m in [1, 2, 3, 5, 7] {
+            shapes.extend([64, 128, 100, 12].map(|n| (m, 33, n)));
+        }
+        for m in [4, 8] {
+            shapes.extend([16, 24, 20, 12].map(|n| (m, 33, n)));
+        }
+        for &(m, k, n) in &shapes {
             for zeros in [false, true] {
                 let lhs = |rows, cols, rng: &mut crate::Rng| {
                     if zeros {
@@ -955,33 +926,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// The lane-parallel matvec equals a 1-row `matmul_nt` to the bit on
-    /// every block/tail shape, signed zeros included.
-    #[test]
-    fn matvec_nt_matches_one_row_matmul_nt() {
-        let mut rng = crate::Rng::seed_from_u64(8);
-        for &(k, n) in &[
-            (1usize, 1usize),
-            (5, 3),
-            (8, 8),
-            (12, 9),
-            (16, 24),
-            (37, 17),
-            (512, 128),
-        ] {
-            let b = Matrix::xavier(n, k, &mut rng);
-            let mut xs = vec![Matrix::xavier(1, k, &mut rng), Matrix::zeros(1, k)];
-            xs.push(xs[1].map(|_| -0.0));
-            for x in &xs {
-                for b in [b.clone(), b.map(f32::abs)] {
-                    let mut out = vec![f32::NAN; n];
-                    matvec_nt(x.data(), b.data(), n, &mut out);
-                    assert_bits_eq(&Matrix::from_vec(1, n, out), &x.matmul_nt(&b));
-                }
-            }
-        }
-    }
-
     /// The zero-skip hazard fix: `0.0 * NaN` / `0.0 * inf` must poison the
     /// product in every GEMM variant — no variant silently zeroes them.
     #[test]
@@ -994,6 +938,18 @@ pub(crate) mod tests {
             poisoned.set(1, 0, bad);
             let out = zero_row.matmul(&poisoned);
             assert!(out.get(0, 0).is_nan(), "matmul must propagate {bad}");
+            // The same through the row accumulator's 64-column block, the
+            // 4×16 panel tile and the padded panel tail.
+            for (rows, cols) in [(1, 64), (4, 16), (4, 12)] {
+                let zeros = Matrix::zeros(rows, 3);
+                let mut poisoned = Matrix::zeros(3, cols);
+                poisoned.set(2, 9, bad);
+                let out = zeros.matmul(&poisoned);
+                assert!(
+                    (0..rows).all(|r| out.get(r, 9).is_nan()),
+                    "{rows}-row matmul must propagate {bad}"
+                );
+            }
 
             let zero_col = Matrix::zeros(3, 1);
             let mut poisoned_tn = Matrix::zeros(3, 2);

@@ -1,5 +1,5 @@
 use serde::{Deserialize, Serialize};
-use tinynn::{Adam, Rng};
+use tinynn::{Adam, Matrix, Rng};
 
 use crate::{
     collect_vec_rollout, discounted_returns, standardize, Agent, Env, EpochReport,
@@ -156,7 +156,7 @@ impl Agent for Reinforce {
     }
 
     fn load_state(&mut self, state: &serde::Value) -> Result<(), String> {
-        let state: ReinforceState =
+        let mut state: ReinforceState =
             serde::Deserialize::from_value(state).map_err(|e| format!("bad snapshot: {e:?}"))?;
         if state.policy.obs_dim() != self.policy.obs_dim()
             || state.policy.action_dims() != self.policy.action_dims()
@@ -169,6 +169,7 @@ impl Agent for Reinforce {
                 self.policy.action_dims(),
             ));
         }
+        check_param_shapes(&mut state.policy, &mut self.policy)?;
         self.policy = state.policy;
         self.opt = state.opt;
         self.ema_return = state.ema_return_bits.map(f32::from_bits);
@@ -182,6 +183,37 @@ impl Agent for Reinforce {
     fn param_count(&self) -> usize {
         self.policy.param_count()
     }
+}
+
+/// Checks a snapshot's policy parameters against the agent's own: the same
+/// count, every weight and gradient of the agent's shape, and every Adam
+/// moment 0×0 or of its weight's shape. A snapshot of another hidden width
+/// or with a stray moment shape would otherwise load, and panic in the
+/// first update.
+fn check_param_shapes(snapshot: &mut PolicyNet, own: &mut PolicyNet) -> Result<(), String> {
+    let (theirs, ours) = (snapshot.params_mut(), own.params_mut());
+    if theirs.len() != ours.len() {
+        return Err(format!(
+            "snapshot parameter mismatch: {} parameters vs the agent's {}",
+            theirs.len(),
+            ours.len()
+        ));
+    }
+    for (i, (p, q)) in theirs.iter().zip(&ours).enumerate() {
+        let shape = q.w.shape();
+        let moment = |m: &Matrix| m.shape() == (0, 0) || m.shape() == shape;
+        if p.w.shape() != shape || p.g.shape() != shape || !moment(&p.m) || !moment(&p.v) {
+            return Err(format!(
+                "snapshot parameter mismatch: parameter {i} has w {:?} g {:?} m {:?} v {:?} \
+                 vs the agent's {shape:?}",
+                p.w.shape(),
+                p.g.shape(),
+                p.m.shape(),
+                p.v.shape(),
+            ));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -312,31 +344,32 @@ mod tests {
         assert_eq!(bits(&mut agent.policy), bits(&mut restored.policy));
     }
 
+    /// A snapshot is refused when its action heads differ, when one of its
+    /// Adam moments is neither 0×0 nor its weight's shape (`Wx.m` is 1×1),
+    /// or when its hidden width differs (8 into a hidden-16 agent).
     #[test]
     fn load_state_rejects_mismatched_architecture() {
         let mut rng = Rng::seed_from_u64(12);
         let env = PatternEnv::new(4, vec![3, 3]);
-        let agent = Reinforce::new(
-            env.obs_dim(),
-            env.action_dims(),
-            ReinforceConfig {
-                hidden: 8,
-                ..ReinforceConfig::default()
-            },
-            &mut rng,
-        );
-        let snapshot = agent.save_state().unwrap();
         let other_env = PatternEnv::new(4, vec![5]);
-        let mut other = Reinforce::new(
-            other_env.obs_dim(),
-            other_env.action_dims(),
-            ReinforceConfig {
-                hidden: 8,
+        let mut agent = |env: &PatternEnv, hidden| {
+            let config = ReinforceConfig {
+                hidden,
                 ..ReinforceConfig::default()
-            },
-            &mut rng,
-        );
-        assert!(other.load_state(&snapshot).is_err());
+            };
+            Reinforce::new(env.obs_dim(), env.action_dims(), config, &mut rng)
+        };
+        let mut stray_moment = agent(&env, 8);
+        stray_moment.policy.params_mut()[0].m = Matrix::zeros(1, 1);
+        let cases = [
+            (agent(&env, 8), agent(&other_env, 8)),
+            (stray_moment, agent(&env, 8)),
+            (agent(&env, 8), agent(&env, 16)),
+        ];
+        for (source, mut target) in cases {
+            let snapshot = source.save_state().unwrap();
+            assert!(target.load_state(&snapshot).is_err());
+        }
     }
 
     /// With one-step episodes every decision starts from the zero state,
